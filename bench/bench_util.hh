@@ -178,6 +178,8 @@ applyRaceOptions(const ArgParser &args, ExperimentConfig &cfg)
  * runApps() batch, check() reports abrace conflicts and (under
  * --permute-ties) reruns every app with lifo and seeded-shuffle
  * tie-breaks, byte-comparing end-state digests against the fifo run.
+ * The reruns leave the detector off: it does not change the digests,
+ * and the fifo run has already reported conflicts.
  * exitCode() turns any failure into a nonzero bench exit.
  */
 class RaceGate
@@ -219,6 +221,7 @@ class RaceGate
         for (const TieBreak mode :
              {TieBreak::lifo, TieBreak::shuffle}) {
             ExperimentConfig rerun_cfg = cfg;
+            rerun_cfg.race.detect = false;
             rerun_cfg.race.tieBreak = mode;
             Experiment experiment(rerun_cfg);
             const AppRunResult rerun = experiment.runApp(app);

@@ -31,11 +31,12 @@ Governor::start()
     for (std::size_t i = 0; i < clusterRef.coreCount(); ++i)
         lastBusyTicks[i] = clusterRef.core(i).busyTicks();
     if (samplerTask == nullptr) {
+        policyCell = clusterRef.name() + "." + governorName;
         samplerTask = &sim.addPeriodic(
             samplingPeriod(), [this](Tick now) { onSample(now); },
             offsetPriority(EventPriority::governor,
                            clusterRef.core(0).id(), clusterSlots),
-            clusterRef.name() + "." + governorName + ".sample");
+            policyCell + ".sample");
     }
     samplerTask->setPeriod(samplingPeriod());
     samplerTask->start();
@@ -52,7 +53,7 @@ void
 Governor::onSample(Tick now)
 {
     sim.noteRead(clusterRef.name(), "busy");
-    sim.noteWrite(clusterRef.name() + "." + governorName, "policy");
+    sim.noteWrite(policyCell, "policy");
     ++sampleCount;
     sample(now);
 }

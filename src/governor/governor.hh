@@ -98,6 +98,8 @@ class Governor
   private:
     // ablint:allow(serialize-coverage): fixed at construction from config
     std::string governorName;
+    // ablint:allow(serialize-coverage): derived from names in start()
+    std::string policyCell; ///< "<cluster>.<governor>", abrace component
     PeriodicTask *samplerTask = nullptr;
     std::uint64_t sampleCount = 0;
     std::uint64_t deniedCount = 0;

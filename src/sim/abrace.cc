@@ -98,6 +98,10 @@ RaceDetector::note(std::string_view component, std::string_view field,
     // with; ignore them so components can note unconditionally.
     if (!inEvent)
         return;
+    touched = true;
+    // An event that cannot race only needs to be counted.
+    if (!recording)
+        return;
     std::string cell;
     cell.reserve(component.size() + 1 + field.size());
     cell.append(component);
@@ -155,29 +159,85 @@ RaceDetector::loadBaseline(const std::string &path)
     return okStatus();
 }
 
+std::string
+RaceDetector::describe(const Provenance &p) const
+{
+    switch (p.site) {
+      case Provenance::Site::handler:
+        return "scheduled during '" + names[p.scheduler] + "' at tick " +
+               std::to_string(p.tick);
+      case Provenance::Site::outside:
+        return "scheduled at tick " + std::to_string(p.tick) +
+               " (outside any event)";
+      case Provenance::Site::unknown:
+        break;
+    }
+    return "schedule site unknown";
+}
+
+std::uint32_t
+RaceDetector::intern(const std::string &name, std::uint32_t hint)
+{
+    // A periodic or self-rescheduling event was scheduled by an event
+    // of its own name, so the scheduler's index usually matches.
+    if (hint < names.size() && names[hint] == name)
+        return hint;
+    const auto [it, inserted] = nameIndex.try_emplace(
+        name, static_cast<std::uint32_t>(names.size()));
+    if (inserted)
+        names.push_back(name);
+    return it->second;
+}
+
+RaceDetector::Pending *
+RaceDetector::findPending(std::uint64_t sequence)
+{
+    auto it = std::lower_bound(
+        pending.begin(), pending.end(), sequence,
+        [](const Pending &p, std::uint64_t seq) { return p.sequence < seq; });
+    if (it == pending.end() || it->sequence != sequence || !it->live)
+        return nullptr;
+    return &*it;
+}
+
+void
+RaceDetector::dropPending(Pending &entry)
+{
+    entry.live = false;
+    // Sweeping costs the vector's length, paid for by the (at least
+    // as many) drops since the last sweep.
+    if (++pendingDead * 2 > pending.size()) {
+        std::erase_if(pending, [](const Pending &p) { return !p.live; });
+        pendingDead = 0;
+    }
+}
+
 void
 RaceDetector::onScheduled(const Event &event, Tick now)
 {
-    std::ostringstream os;
-    if (inEvent)
-        os << "scheduled during '" << current.name << "' at tick "
-           << now;
-    else
-        os << "scheduled at tick " << now << " (outside any event)";
-    pendingProvenance[event.sequenceNumber()] = os.str();
-    if (inEvent)
-        pendingParent[event.sequenceNumber()] = current.sequence;
+    BL_ASSERT(pending.empty() ||
+              pending.back().sequence < event.sequenceNumber());
+    Pending &p = pending.emplace_back();
+    p.sequence = event.sequenceNumber();
+    p.provenance.tick = now;
+    if (inEvent) {
+        p.provenance.site = Provenance::Site::handler;
+        p.provenance.scheduler = current.name;
+        p.provenance.schedulerSeq = current.sequence;
+    } else {
+        p.provenance.site = Provenance::Site::outside;
+    }
 }
 
 void
 RaceDetector::onDescheduled(const Event &event)
 {
-    pendingProvenance.erase(event.sequenceNumber());
-    pendingParent.erase(event.sequenceNumber());
+    if (Pending *p = findPending(event.sequenceNumber()))
+        dropPending(*p);
 }
 
 void
-RaceDetector::beginEvent(const ServicedEvent &event)
+RaceDetector::beginEvent(const ServicedEvent &event, bool peerPending)
 {
     BL_ASSERT(!inEvent);
     if (batchOpen &&
@@ -190,21 +250,21 @@ RaceDetector::beginEvent(const ServicedEvent &event)
     }
 
     inEvent = true;
-    current = Record{};
-    current.name = event.name;
+    touched = false;
+    // Record when a peer could be serviced after this event without
+    // descending from it, or when an earlier recorded member could
+    // race with this one.
+    recording = peerPending || !batch.empty();
     current.sequence = event.sequence;
-    auto provIt = pendingProvenance.find(event.sequence);
-    if (provIt != pendingProvenance.end()) {
-        current.provenance = provIt->second;
-        pendingProvenance.erase(provIt);
-    } else {
-        current.provenance = "schedule site unknown";
+    current.provenance = Provenance{};
+    current.cells.clear();
+    if (Pending *p = findPending(event.sequence)) {
+        current.provenance = p->provenance;
+        dropPending(*p);
     }
-    auto parIt = pendingParent.find(event.sequence);
-    if (parIt != pendingParent.end()) {
-        batchParent[event.sequence] = parIt->second;
-        pendingParent.erase(parIt);
-    }
+    current.name = intern(event.name, current.provenance.scheduler);
+    if (recording && current.provenance.site == Provenance::Site::handler)
+        batchParent[event.sequence] = current.provenance.schedulerSeq;
 }
 
 void
@@ -212,11 +272,12 @@ RaceDetector::endEvent()
 {
     BL_ASSERT(inEvent);
     inEvent = false;
-    if (!current.cells.empty()) {
-        ++tracked;
+    if (!touched)
+        return;
+    ++tracked;
+    ++batchTouched;
+    if (recording)
         batch.push_back(std::move(current));
-    }
-    current = Record{};
 }
 
 void
@@ -261,8 +322,9 @@ void
 RaceDetector::analyzeBatch()
 {
     batchOpen = false;
-    if (batch.size() > 1) {
+    if (batchTouched > 1)
         ++batches;
+    if (batch.size() > 1) {
         for (std::size_t i = 0; i < batch.size(); ++i) {
             for (std::size_t j = i + 1; j < batch.size(); ++j) {
                 const Record &a = batch[i];
@@ -285,26 +347,26 @@ RaceDetector::analyzeBatch()
                     // write on either side is order-sensitive.
                     if (!pa.write && !oa.write)
                         continue;
+                    if (allowed(names[a.name], names[b.name], cell)) {
+                        ++suppressed;
+                        continue;
+                    }
                     const bool probeIsA = (&probe == &a);
                     Conflict c;
                     c.tick = batchTick;
                     c.priority = batchPriority;
-                    c.eventA = a.name;
-                    c.eventB = b.name;
+                    c.eventA = names[a.name];
+                    c.eventB = names[b.name];
                     c.cell = cell;
                     c.writeA = probeIsA ? pa.write : oa.write;
                     c.writeB = probeIsA ? oa.write : pa.write;
-                    c.provenanceA = a.provenance;
-                    c.provenanceB = b.provenance;
-                    if (allowed(c.eventA, c.eventB, c.cell)) {
-                        ++suppressed;
-                        continue;
-                    }
                     const std::string k = c.key();
                     auto found_it = foundIndex.find(k);
                     if (found_it != foundIndex.end()) {
                         ++found[found_it->second].count;
                     } else {
+                        c.provenanceA = describe(a.provenance);
+                        c.provenanceB = describe(b.provenance);
                         foundIndex.emplace(k, found.size());
                         found.push_back(std::move(c));
                     }
@@ -313,6 +375,7 @@ RaceDetector::analyzeBatch()
         }
     }
     batch.clear();
+    batchTouched = 0;
     batchParent.clear();
 }
 

@@ -23,6 +23,20 @@
  * write-write and read-write conflicts with both event identities,
  * the contested state cell, and schedule-site provenance.
  *
+ * Only events that can race pay for an access set.  The queue tells
+ * beginEvent() whether another event with the same `(tick, priority)`
+ * is still pending; an event keeps its accesses when one is, or when
+ * the open batch already holds a member with accesses.  Any other
+ * event can share its batch only with its own descendants, which the
+ * causal exemption excuses, so for it the detector only notes that it
+ * touched state (eventsTracked() and batchesAnalyzed() count every
+ * event either way).  One consequence: an event scheduled from
+ * outside any handler (between runUntil() chunks) into the key of an
+ * already-serviced lone event is not compared with it - the two were
+ * never pending together, so no tie-break can reorder them.
+ * Provenance is kept as plain fields and formatted only when a
+ * Conflict is built.
+ *
  * Suppression mirrors ablint: an inline `allow(eventA, eventB, cell)`
  * call for individually justified pairs (trailing-`*` globs
  * supported), plus a checked-in baseline file
@@ -56,7 +70,11 @@ namespace biglittle
 
 class Event;
 
-/** Runtime detector of same-(tick, priority) access conflicts. */
+/**
+ * Runtime detector of same-(tick, priority) access conflicts.  One
+ * detector observes one event queue: it relies on the queue's
+ * sequence numbers rising from one schedule() to the next.
+ */
 class RaceDetector
 {
   public:
@@ -126,8 +144,13 @@ class RaceDetector
     /** Called by EventQueue::deschedule: drops provenance. */
     void onDescheduled(const Event &event);
 
-    /** Called before an event processes; flushes a finished batch. */
-    void beginEvent(const ServicedEvent &event);
+    /**
+     * Called before an event processes; flushes a finished batch.
+     * @p peerPending tells whether another event with the same
+     * (when, priority) is still queued, i.e. whether this one can
+     * race with an event that is not its descendant.
+     */
+    void beginEvent(const ServicedEvent &event, bool peerPending);
 
     /** Called after the event's process() returns. */
     void endEvent();
@@ -143,10 +166,10 @@ class RaceDetector
     /** Conflict occurrences swallowed by allow()/baseline rules. */
     std::uint64_t suppressedCount() const { return suppressed; }
 
-    /** Same-key batches with more than one event that were analyzed. */
+    /** Same-key batches in which more than one event touched state. */
     std::uint64_t batchesAnalyzed() const { return batches; }
 
-    /** Events that recorded at least one access. */
+    /** Events that noted at least one access. */
     std::uint64_t eventsTracked() const { return tracked; }
 
     /** Full human-readable report (empty string when clean). */
@@ -159,12 +182,36 @@ class RaceDetector
         bool write = false;
     };
 
+    /** Where an event was scheduled; formatted only for reports. */
+    struct Provenance
+    {
+        enum class Site : std::uint8_t
+        {
+            unknown, ///< scheduled before the detector was attached
+            outside, ///< outside any event handler
+            handler, ///< during the `scheduler` event's handler
+        };
+
+        Tick tick = 0; ///< when the schedule call happened
+        std::uint64_t schedulerSeq = 0; ///< scheduling event (handler)
+        std::uint32_t scheduler = 0; ///< and its name, a names index
+        Site site = Site::unknown;
+    };
+
+    /** A scheduled, not yet serviced event's provenance. */
+    struct Pending
+    {
+        std::uint64_t sequence = 0;
+        Provenance provenance;
+        bool live = true;
+    };
+
     /** One serviced event of the open batch, with its access set. */
     struct Record
     {
-        std::string name;
+        std::uint32_t name = 0; ///< names index
         std::uint64_t sequence = 0;
-        std::string provenance;
+        Provenance provenance;
         std::map<std::string, Access, std::less<>> cells;
     };
 
@@ -177,6 +224,10 @@ class RaceDetector
 
     void note(std::string_view component, std::string_view field,
               bool write);
+    Pending *findPending(std::uint64_t sequence);
+    void dropPending(Pending &entry);
+    std::uint32_t intern(const std::string &name, std::uint32_t hint);
+    std::string describe(const Provenance &p) const;
     void analyzeBatch();
     bool isAncestor(std::uint64_t ancestorSeq,
                     std::uint64_t seq) const;
@@ -187,17 +238,29 @@ class RaceDetector
     bool batchOpen = false;
     Tick batchTick = 0;
     std::int32_t batchPriority = 0;
-    std::vector<Record> batch; ///< members that recorded accesses
-    /** sequence -> parent sequence, for every batch member. */
+    std::vector<Record> batch; ///< recorded members with accesses
+    std::uint64_t batchTouched = 0; ///< members that touched state
+    /** sequence -> parent sequence, for recorded batch members. */
     std::map<std::uint64_t, std::uint64_t> batchParent;
 
     // Currently processing event (valid between begin/endEvent).
     bool inEvent = false;
+    bool recording = false; ///< current keeps its access set
+    bool touched = false; ///< current noted at least one access
     Record current;
 
-    // Pending (scheduled, not yet serviced) event provenance.
-    std::map<std::uint64_t, std::string> pendingProvenance;
-    std::map<std::uint64_t, std::uint64_t> pendingParent;
+    /**
+     * Pending events in schedule order, which is ascending sequence
+     * order, so onScheduled() only appends.  Serviced and descheduled
+     * entries die in place and are swept out once they outnumber the
+     * live ones.
+     */
+    std::vector<Pending> pending;
+    std::size_t pendingDead = 0;
+
+    /** Every event name seen, so records hold a 32-bit index. */
+    std::vector<std::string> names;
+    std::map<std::string, std::uint32_t, std::less<>> nameIndex;
 
     std::vector<AllowRule> allowRules;
 

@@ -115,7 +115,13 @@ EventQueue::serviceOne()
         if (serviceHook)
             serviceHook(info);
         if (race) {
-            race->beginEvent(info);
+            // The picked event was the only one with its key unless
+            // the new head shares it (under any tie-break mode).
+            const bool peerPending =
+                !queue.empty() &&
+                (*queue.begin())->whenTick == event->whenTick &&
+                (*queue.begin())->prio == event->prio;
+            race->beginEvent(info, peerPending);
             event->process();
             race->endEvent();
             return true;

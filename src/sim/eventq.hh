@@ -151,7 +151,9 @@ class EventQueue
      * While attached it observes every schedule/deschedule for
      * provenance and brackets every serviced event so state accesses
      * recorded via noteRead/noteWrite are charged to the right event
-     * (sim/abrace.hh).  The detector must outlive its attachment;
+     * (sim/abrace.hh).  The bracket also tells the detector whether
+     * another event with the serviced event's (when, priority) is
+     * still pending.  The detector must outlive its attachment;
      * detach before tearing down components whose destructors
      * deschedule events.
      */

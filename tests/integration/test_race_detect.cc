@@ -51,6 +51,7 @@ expectPermutationInvariant(const ExperimentConfig &cfg,
 
     const AppRunResult shuffled =
         runTracked(cfg, app, TieBreak::shuffle);
+    EXPECT_EQ(shuffled.raceConflicts, 0u) << shuffled.raceReport;
     const Status shuffle_match = compareStateDigests(fifo, shuffled);
     EXPECT_TRUE(shuffle_match.ok())
         << "shuffled rerun diverged: " << shuffle_match.toString();

@@ -1,12 +1,15 @@
 /**
  * @file
  * RaceDetector unit tests: conflict detection over same-(tick,
- * priority) batches, causal-ordering exemption, suppression (inline
- * allow rules, globs, baseline text), dedup/counting, provenance,
- * and the report format.
+ * priority) batches, causal-ordering exemption, the boundaries of
+ * recording only events that can race, suppression (inline allow
+ * rules, globs, baseline text), dedup/counting, provenance, and the
+ * report format.
  */
 
 #include <gtest/gtest.h>
+
+#include <set>
 
 #include "sim/abrace.hh"
 #include "sim/simulation.hh"
@@ -121,6 +124,10 @@ TEST(RaceDetector, CausallyOrderedEventsAreExempt)
     });
     t.finish();
     EXPECT_TRUE(t.race.conflicts().empty());
+    // a was alone when serviced and kept no access set, but both
+    // events still count, exactly as if every event were recorded.
+    EXPECT_EQ(t.race.batchesAnalyzed(), 1u);
+    EXPECT_EQ(t.race.eventsTracked(), 2u);
 }
 
 TEST(RaceDetector, TransitiveCausalityIsExempt)
@@ -148,6 +155,77 @@ TEST(RaceDetector, ScheduledChildStillConflictsWithUnrelatedPeer)
     ASSERT_EQ(t.race.conflicts().size(), 1u);
     EXPECT_EQ(t.race.conflicts()[0].eventA, "peer");
     EXPECT_EQ(t.race.conflicts()[0].eventB, "child");
+}
+
+TEST(RaceDetector, LoneParentsChildrenRaceWithEachOther)
+{
+    // parent is alone in its batch when serviced, so it keeps no
+    // access set.  Its two children are pending together: each is
+    // ordered after parent but not after its sibling.
+    TrackedSim t;
+    t.at(10, "parent", [&] {
+        t.sim.noteWrite("comp", "f");
+        t.at(10, "child1", [&] { t.sim.noteWrite("comp", "f"); });
+        t.at(10, "child2", [&] { t.sim.noteWrite("comp", "f"); });
+    });
+    t.finish();
+    ASSERT_EQ(t.race.conflicts().size(), 1u);
+    const RaceDetector::Conflict &c = t.race.conflicts()[0];
+    EXPECT_EQ(c.eventA, "child1");
+    EXPECT_EQ(c.eventB, "child2");
+    EXPECT_EQ(c.cell, "comp/f");
+    EXPECT_NE(c.provenanceA.find("during 'parent'"), std::string::npos);
+    EXPECT_NE(c.provenanceB.find("during 'parent'"), std::string::npos);
+    EXPECT_EQ(t.race.batchesAnalyzed(), 1u);
+    EXPECT_EQ(t.race.eventsTracked(), 3u);
+}
+
+TEST(RaceDetector, ConflictKeyIsTheSameUnderEveryTieBreak)
+{
+    // Whichever event is serviced first sees its peer pending, so the
+    // pair is recorded in every service order.
+    const auto conflict = [](TieBreak mode, std::uint64_t seed) {
+        TrackedSim t;
+        t.sim.eventQueue().setTieBreak(mode, seed);
+        t.at(10, "toy.add", [&] { t.sim.noteWrite("toy", "x"); });
+        t.at(10, "toy.double", [&] { t.sim.noteWrite("toy", "x"); });
+        t.finish();
+        EXPECT_EQ(t.race.conflicts().size(), 1u);
+        return t.race.conflicts().empty() ? RaceDetector::Conflict{}
+                                          : t.race.conflicts()[0];
+    };
+    const std::string key = conflict(TieBreak::fifo, 1).key();
+    EXPECT_EQ(key, "toy.add|toy.double|toy/x");
+    const RaceDetector::Conflict lifo = conflict(TieBreak::lifo, 1);
+    EXPECT_EQ(lifo.eventA, "toy.double");
+    EXPECT_EQ(lifo.key(), key);
+    std::set<std::string> served_first;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        const RaceDetector::Conflict c = conflict(TieBreak::shuffle, seed);
+        EXPECT_EQ(c.key(), key) << "seed " << seed;
+        served_first.insert(c.eventA);
+    }
+    EXPECT_EQ(served_first.size(), 2u)
+        << "shuffle seeds 1-8 should cover both service orders";
+}
+
+TEST(RaceDetector, OutsideScheduleAfterLoneEventIsNotCompared)
+{
+    // a is alone in its batch and ends the first runUntil() chunk.
+    // The test then schedules b into a's (tick, priority) from
+    // outside any handler.  The two were never pending together, so
+    // no tie-break can reorder them, and only an event with a pending
+    // peer keeps its access set: a|b|comp/f is not reported.  (A
+    // detector that recorded every event would report it.)  Both
+    // events still count as one analyzed batch.
+    TrackedSim t;
+    t.at(10, "a", [&] { t.sim.noteWrite("comp", "f"); });
+    t.sim.runUntil(10);
+    t.at(10, "b", [&] { t.sim.noteWrite("comp", "f"); });
+    t.finish();
+    EXPECT_TRUE(t.race.conflicts().empty());
+    EXPECT_EQ(t.race.batchesAnalyzed(), 1u);
+    EXPECT_EQ(t.race.eventsTracked(), 2u);
 }
 
 TEST(RaceDetector, DuplicateConflictsAreCountedOnce)
