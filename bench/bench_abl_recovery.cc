@@ -23,7 +23,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 
 #include "base/argparse.hh"
 #include "base/csv.hh"
@@ -95,8 +94,6 @@ main(int argc, char **argv)
         cfg.label = format("recovery-c%llu",
                            static_cast<unsigned long long>(ckpt_ms));
         cfg.snapshot.checkpointEvery = msToTicks(ckpt_ms);
-        cfg.snapshot.checkpointDir = "bench-recovery-ckpt";
-        std::filesystem::create_directories(cfg.snapshot.checkpointDir);
         cfg.fault.enabled = true;
         cfg.fault.persistentCrashCore = 6;
         cfg.fault.persistentCrashAt =
@@ -108,8 +105,8 @@ main(int argc, char **argv)
         const double wall = wallMsSince(t0);
 
         // Everything past the clean-run cost is recovery machinery:
-        // checkpoint writes, verified fast-forwards, re-executed
-        // tails.  Attribute it per rollback cycle.
+        // checkpoints, verified fast-forwards, re-executed tails.
+        // Attribute it per rollback cycle.
         const std::uint32_t cycles =
             r.report.retries + r.report.quarantines;
         const double rollback_ms =

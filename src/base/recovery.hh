@@ -144,32 +144,6 @@ struct RecoveryReport
     std::uint64_t digest() const;
 };
 
-/** Retry budget of the supervisor's escalation ladder. */
-struct RetryPolicy
-{
-    /**
-     * Rollback-retries granted per incident signature before the
-     * supervisor escalates to quarantining the implicated component.
-     */
-    std::uint32_t perIncidentRetries = 2;
-
-    /**
-     * Total rollback-retries across the whole run; when spent, the
-     * next failure quarantines immediately, and once nothing is left
-     * to quarantine the run is declared failed.
-     */
-    std::uint32_t totalRetryBudget = 8;
-
-    /**
-     * Each retry of the same incident rolls back exponentially
-     * further: retry k resumes from the (2^k - 1)-th-newest good
-     * checkpoint (clamped to the oldest; a fresh start when none),
-     * so a persistently poisoned recent state cannot trap the
-     * supervisor in a tight rollback loop.
-     */
-    bool exponentialRollback = true;
-};
-
 } // namespace biglittle
 
 #endif // BIGLITTLE_BASE_RECOVERY_HH

@@ -343,9 +343,10 @@ Experiment::runApp(const AppSpec &app)
     // mismatched newest checkpoint falls back to older candidates
     // (rotated <path>.1, earlier periodic ticks), and when nothing
     // is usable the run simply starts fresh - a damaged file on disk
-    // must never kill an otherwise valid experiment.
-    std::optional<Checkpoint> resume;
-    if (!snap.resumePath.empty()) {
+    // must never kill an otherwise valid experiment.  A supervisor's
+    // in-memory rollback target needs none of that.
+    std::optional<Checkpoint> resume = cfg.recovery.rollback;
+    if (!resume && !snap.resumePath.empty()) {
         const auto accept = [&](const Checkpoint &c) -> Status {
             if (c.app != app.name || c.label != cfg.label ||
                 c.masterSeed != cfg.masterSeed) {
@@ -518,9 +519,7 @@ Experiment::runApp(const AppSpec &app)
                        pf.core));
             break;
         }
-        if (cfg.recovery.supervised &&
-            cfg.recovery.failOnInvariantViolation &&
-            rig.checker != nullptr &&
+        if (cfg.recovery.supervised && rig.checker != nullptr &&
             rig.checker->violationCount() > violations_seen) {
             const auto &recorded = rig.checker->violations();
             recordFailure(RecoveryTrigger::invariantViolation,
@@ -543,15 +542,24 @@ Experiment::runApp(const AppSpec &app)
                 // simulated behavior.
                 // ablint:allow(wall-clock): overhead metric only
                 const auto t0 = std::chrono::steady_clock::now();
-                const Checkpoint ckpt =
+                Checkpoint ckpt =
                     collectCheckpoint(rig, instance, cfg, app.name);
                 const std::vector<std::uint8_t> bytes = ckpt.encode();
-                const std::string path = snap.checkpointDir + "/" +
-                    app.name + "." + cfg.label +
-                    format(".%llu.ckpt",
-                           static_cast<unsigned long long>(ckpt.tick));
-                const Status written =
-                    Checkpoint::writeBytes(path, bytes);
+                Status written = okStatus();
+                if (cfg.recovery.supervised) {
+                    // Rollback targets: the supervisor verifies
+                    // against these and never reads a file.
+                    result.checkpoints.kept.push_back(std::move(ckpt));
+                } else {
+                    const std::string path = snap.checkpointDir + "/" +
+                        app.name + "." + cfg.label +
+                        format(".%llu.ckpt",
+                               static_cast<unsigned long long>(
+                                   ckpt.tick));
+                    written = Checkpoint::writeBytes(path, bytes);
+                    if (written.ok())
+                        result.checkpoints.lastPath = path;
+                }
                 // ablint:allow(wall-clock): overhead metric only
                 const auto t1 = std::chrono::steady_clock::now();
                 if (!written.ok()) {
@@ -564,8 +572,6 @@ Experiment::runApp(const AppSpec &app)
                         std::chrono::duration<double, std::milli>(
                             t1 - t0)
                             .count();
-                    result.checkpoints.lastPath = path;
-                    result.checkpoints.paths.push_back(path);
                     watchdog.noteCheckpoint(bytes);
                 }
             }

@@ -11,6 +11,7 @@
 #define BIGLITTLE_CORE_EXPERIMENT_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -115,13 +116,17 @@ struct RaceParams
 /** Checkpoint overhead of one run. */
 struct CheckpointStats
 {
-    std::uint64_t count = 0; ///< checkpoints written
-    std::uint64_t bytes = 0; ///< total bytes written
+    std::uint64_t count = 0; ///< checkpoints taken
+    std::uint64_t bytes = 0; ///< total encoded bytes
     double writeMs = 0.0; ///< wall time spent serializing + writing
     std::string lastPath; ///< most recent checkpoint file
 
-    /** Every checkpoint written, oldest first: rollback targets. */
-    std::vector<std::string> paths;
+    /**
+     * Supervised runs write no files: every checkpoint is kept here
+     * instead, oldest first, for Supervisor::run to take over as a
+     * rollback target.
+     */
+    std::vector<Checkpoint> kept;
 };
 
 /**
@@ -141,11 +146,11 @@ struct RecoveryParams
     bool supervised = false;
 
     /**
-     * Treat a failed periodic invariant sweep as a run failure (only
-     * meaningful when supervised; the unsupervised contract is that
-     * invariant violations are recorded, never fatal).
+     * Roll back to this checkpoint: the run re-executes to its tick
+     * and byte-compares every section, exactly as a file resume does.
+     * Replaces snapshot.resumePath when set.
      */
-    bool failOnInvariantViolation = false;
+    std::optional<Checkpoint> rollback;
 
     /**
      * Timed recovery actions, in append order.  Each action is

@@ -131,12 +131,13 @@ Checkpoint::writeBytes(const std::string &path,
             return unavailable("short write to '" + tmp + "'");
     }
     // Keep previous checkpoints as a <path>.1 -> <path>.2 chain so a
-    // corrupt write (power cut mid-flush, disk full) - or a rollback
-    // loop rewriting the same path over and over - never clobbers
-    // the newest good copy: the old .1 must rotate to .2 *before*
-    // the primary rotates into .1, otherwise the rename would
-    // overwrite the only surviving good checkpoint.  Failure to
-    // rotate is not fatal: the new write proceeds anyway.
+    // corrupt write (power cut mid-flush, disk full) by a rerun into
+    // the same directory never clobbers the newest good copy: the
+    // old .1 must rotate to .2 *before* the primary rotates into .1,
+    // otherwise the rename would overwrite the only surviving good
+    // checkpoint.  Failure to rotate is not fatal: the new write
+    // proceeds anyway.  (Supervised rollbacks keep their checkpoints
+    // in memory and never rewrite a path.)
     std::error_code ec;
     if (std::filesystem::exists(path + ".1", ec))
         std::rename((path + ".1").c_str(), (path + ".2").c_str());

@@ -90,8 +90,7 @@ struct Checkpoint
      * Atomically write to @p path (tmp file + rename).  Existing
      * generations rotate down the `<path>.1` -> `<path>.2` chain
      * first (oldest dropped), so the last good checkpoints survive a
-     * bad write even when a rollback loop rewrites the same path
-     * repeatedly.
+     * bad write when a rerun writes into the same directory.
      */
     [[nodiscard]] Status writeFile(const std::string &path) const;
 

@@ -4,7 +4,6 @@
 #include <map>
 #include <sstream>
 #include <utility>
-#include <vector>
 
 #include "base/logging.hh"
 #include "base/random.hh"
@@ -17,25 +16,26 @@ namespace biglittle
 namespace
 {
 
-/** Tick encoded in a periodic checkpoint's <stem>.<tick>.ckpt name. */
-Tick
-tickFromCheckpointPath(const std::string &path)
-{
-    const std::string suffix = ".ckpt";
-    if (path.size() <= suffix.size() ||
-        path.compare(path.size() - suffix.size(), suffix.size(),
-                     suffix) != 0)
-        return 0;
-    const std::string noExt =
-        path.substr(0, path.size() - suffix.size());
-    const std::size_t dot = noExt.find_last_of('.');
-    if (dot == std::string::npos || dot + 1 == noExt.size() ||
-        noExt.size() - dot - 1 > 19 ||
-        noExt.find_first_not_of("0123456789", dot + 1) !=
-            std::string::npos)
-        return 0;
-    return static_cast<Tick>(std::stoull(noExt.substr(dot + 1)));
-}
+/**
+ * Rollback-retries granted per incident signature before the
+ * supervisor escalates to quarantining the implicated component.
+ */
+constexpr std::uint32_t perIncidentRetries = 2;
+
+/**
+ * Rollback-retries across the whole run; when spent, the next
+ * failure quarantines immediately, and once nothing is left to
+ * quarantine the run is declared failed.
+ */
+constexpr std::uint32_t totalRetryBudget = 8;
+
+/**
+ * Attempt cap, first run included: the retry budget plus one
+ * quarantine and one disable rung per fault class is enough headroom
+ * for any escalation the ladder can take.
+ */
+constexpr std::uint32_t maxAttempts =
+    totalRetryBudget + 2 * faultClassCount + 2;
 
 /**
  * Escalation rung an incident signature sits on.  Every incident
@@ -66,8 +66,8 @@ finalStateDigest(const AppRunResult &result)
     return fnv1a64(os.str());
 }
 
-Supervisor::Supervisor(ExperimentConfig config, SupervisorParams params)
-    : baseCfg(std::move(config)), sp(params)
+Supervisor::Supervisor(ExperimentConfig config)
+    : baseCfg(std::move(config))
 {
 }
 
@@ -76,24 +76,14 @@ Supervisor::run(const AppSpec &app)
 {
     ExperimentConfig cfg = baseCfg;
     cfg.recovery.supervised = true;
-    cfg.recovery.failOnInvariantViolation = sp.failOnInvariantViolation;
-    if (cfg.snapshot.checkpointEvery == 0 && sp.checkpointEvery > 0)
-        cfg.snapshot.checkpointEvery = sp.checkpointEvery;
-
-    // Budget + one quarantine and one disable rung per fault class
-    // is enough headroom for any escalation the ladder can take.
-    const std::uint32_t max_attempts = sp.maxAttempts > 0
-        ? sp.maxAttempts
-        : sp.retry.totalRetryBudget + 2 * faultClassCount + 2;
 
     SupervisedRunResult out;
     RecoveryReport &report = out.report;
 
-    // Good checkpoints accumulated across attempts, ascending tick.
-    // Attempts rewrite the paths they pass through, so the newest
-    // generation of each path always matches the current script
-    // (stale generations survive down the rotation chain).
-    std::vector<std::pair<Tick, std::string>> ckpts;
+    // Good checkpoints of every attempt by tick: the rollback
+    // targets.  A later attempt's checkpoint replaces an earlier one
+    // at the same tick, so each target matches the current script.
+    std::map<Tick, Checkpoint> ckpts;
     std::map<std::string, IncidentState> incidents;
     std::uint32_t total_retries = 0;
     std::uint32_t perturb = 0;
@@ -103,14 +93,10 @@ Supervisor::run(const AppSpec &app)
         Experiment exp(cfg);
         AppRunResult r = exp.runApp(app);
 
-        for (const std::string &path : r.checkpoints.paths) {
-            const bool seen = std::any_of(
-                ckpts.begin(), ckpts.end(),
-                [&](const auto &c) { return c.second == path; });
-            if (!seen)
-                ckpts.emplace_back(tickFromCheckpointPath(path), path);
+        for (Checkpoint &c : std::exchange(r.checkpoints.kept, {})) {
+            const Tick tick = c.tick;
+            ckpts.insert_or_assign(tick, std::move(c));
         }
-        std::sort(ckpts.begin(), ckpts.end());
 
         if (!r.failed) {
             report.outcome = report.quarantines > 0
@@ -132,38 +118,40 @@ Supervisor::run(const AppSpec &app)
 
         IncidentState &inc = incidents[r.failureIncident];
 
-        if (attempt >= max_attempts) {
+        // Gives up on the run.  Logs before r moves into the result.
+        const auto fail = [&](const std::string &why) {
             report.events.push_back(std::move(ev));
             report.outcome = RecoveryOutcome::failed;
             report.finalStateDigest = finalStateDigest(r);
+            warn("supervisor: %s\n%s", why.c_str(),
+                 report.toString().c_str());
             out.run = std::move(r);
-            warn("supervisor: attempt cap (%u) reached\n%s",
-                 max_attempts, report.toString().c_str());
+        };
+
+        if (attempt >= maxAttempts) {
+            fail(format("attempt cap (%u) reached", maxAttempts));
             return out;
         }
 
-        // Rollback target: the newest good checkpoint strictly
-        // before the failure (the failure boundary never writes
-        // one), pushed exponentially further back on repeated
-        // retries of the same incident.
-        const auto rollbackTarget =
-            [&](std::size_t offset) -> std::pair<Tick, std::string> {
-            std::pair<Tick, std::string> target{0, std::string()};
-            std::vector<const std::pair<Tick, std::string> *> eligible;
-            for (const auto &c : ckpts) {
-                if (c.first < r.failedAt)
-                    eligible.push_back(&c);
-            }
-            if (eligible.empty())
-                return target; // fresh start
-            const std::size_t last = eligible.size() - 1;
-            const std::size_t idx = offset > last ? 0 : last - offset;
-            return *eligible[idx];
+        // Rolls the next attempt back to the newest good checkpoint
+        // strictly before the failure (the failure boundary never
+        // takes one), @p offset checkpoints further back, clamped to
+        // the oldest; a fresh start when there is none.  Returns the
+        // rollback tick.
+        const auto rollBack = [&](std::size_t offset) -> Tick {
+            cfg.snapshot.resumePath.clear();
+            cfg.recovery.rollback.reset();
+            auto it = ckpts.lower_bound(r.failedAt);
+            if (it == ckpts.begin())
+                return 0;
+            for (--it; offset > 0 && it != ckpts.begin(); --offset)
+                --it;
+            cfg.recovery.rollback = it->second;
+            return it->first;
         };
 
-        const bool budget_left =
-            inc.retries < sp.retry.perIncidentRetries &&
-            total_retries < sp.retry.totalRetryBudget;
+        const bool budget_left = inc.retries < perIncidentRetries &&
+            total_retries < totalRetryBudget;
 
         const auto addAction = [&](RecoveryAction act) {
             ev.actions.push_back(act);
@@ -175,13 +163,12 @@ Supervisor::run(const AppSpec &app)
             ++inc.retries;
             ++total_retries;
             ++report.retries;
+            // Retry k rolls back to the (2^k - 1)-th-newest good
+            // checkpoint, so a persistently poisoned recent state
+            // cannot trap the supervisor in a tight rollback loop.
             const std::uint32_t k = std::min(inc.retries, 16u);
-            const std::size_t offset = sp.retry.exponentialRollback
-                ? (std::size_t{1} << k) - 2
-                : 0;
-            const auto [roll_tick, roll_path] = rollbackTarget(offset);
+            const Tick roll_tick = rollBack((std::size_t{1} << k) - 2);
             ev.rollbackTo = roll_tick;
-            cfg.snapshot.resumePath = roll_path;
 
             RecoveryAction act;
             act.atTick = roll_tick;
@@ -206,15 +193,14 @@ Supervisor::run(const AppSpec &app)
             ++perturb;
             inform("supervisor: retry %u/%u for [%s], rollback to "
                    "tick %llu",
-                   inc.retries, sp.retry.perIncidentRetries,
+                   inc.retries, perIncidentRetries,
                    ev.incident.c_str(),
                    static_cast<unsigned long long>(roll_tick));
         } else if (inc.rung == Rung::retrying ||
                    inc.rung == Rung::quarantined) {
             // ---- rungs 2/3: quarantine, then disable the class ----
-            const auto [roll_tick, roll_path] = rollbackTarget(0);
+            const Tick roll_tick = rollBack(0);
             ev.rollbackTo = roll_tick;
-            cfg.snapshot.resumePath = roll_path;
 
             const bool first_escalation = inc.rung == Rung::retrying;
             bool gave_up = false;
@@ -261,7 +247,7 @@ Supervisor::run(const AppSpec &app)
                 // means something else is broken.
                 if (first_escalation) {
                     ev.rollbackTo = 0;
-                    cfg.snapshot.resumePath.clear();
+                    cfg.recovery.rollback.reset();
                 } else {
                     gave_up = true;
                 }
@@ -271,14 +257,8 @@ Supervisor::run(const AppSpec &app)
                 break;
             }
             if (gave_up) {
-                report.events.push_back(std::move(ev));
-                report.outcome = RecoveryOutcome::failed;
-                report.finalStateDigest = finalStateDigest(r);
-                out.run = std::move(r);
-                warn("supervisor: escalation ladder exhausted for "
-                     "[%s]\n%s",
-                     r.failureIncident.c_str(),
-                     report.toString().c_str());
+                fail(format("escalation ladder exhausted for [%s]",
+                            r.failureIncident.c_str()));
                 return out;
             }
             if (r.failureTrigger != RecoveryTrigger::resumeDivergence)
@@ -293,12 +273,8 @@ Supervisor::run(const AppSpec &app)
         } else {
             // Still failing after the last rung: give up, degraded
             // state and all.
-            report.events.push_back(std::move(ev));
-            report.outcome = RecoveryOutcome::failed;
-            report.finalStateDigest = finalStateDigest(r);
-            out.run = std::move(r);
-            warn("supervisor: [%s] still failing after disable\n%s",
-                 r.failureIncident.c_str(), report.toString().c_str());
+            fail(format("[%s] still failing after disable",
+                        r.failureIncident.c_str()));
             return out;
         }
         report.events.push_back(std::move(ev));

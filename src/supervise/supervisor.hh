@@ -20,6 +20,12 @@
  *           failing fault class — and continue in degraded mode;
  *   fail    when even quarantine does not cure the incident.
  *
+ * The budgets are fixed (supervisor.cc): 2 retries per incident and
+ * 8 in all.  Rollback targets never touch the disk: each attempt
+ * keeps its periodic checkpoints in memory, the supervisor holds the
+ * newest one per tick, and the next attempt re-executes to the
+ * chosen tick and byte-compares its state against it.
+ *
  * Every decision is a timed RecoveryAction appended to the config's
  * recovery script and replayed by all later attempts at the same
  * tick, which keeps verified fast-forward byte-identical across
@@ -41,29 +47,6 @@
 namespace biglittle
 {
 
-/** Tuning of the supervision loop. */
-struct SupervisorParams
-{
-    /** Retry budget and rollback escalation. */
-    RetryPolicy retry;
-
-    /**
-     * Hard cap on attempts (first run included); 0 derives it from
-     * the retry budget with headroom for the quarantine rungs.
-     */
-    std::uint32_t maxAttempts = 0;
-
-    /** Treat a failed invariant sweep as a run failure. */
-    bool failOnInvariantViolation = true;
-
-    /**
-     * Checkpoint period forced onto configs that have none (0 keeps
-     * the config's own snapshot settings untouched; a config without
-     * periodic checkpoints can only be retried from scratch).
-     */
-    Tick checkpointEvery = 0;
-};
-
 /** The supervised run's outcome: final metrics + decision record. */
 struct SupervisedRunResult
 {
@@ -79,8 +62,7 @@ struct SupervisedRunResult
 class Supervisor
 {
   public:
-    explicit Supervisor(ExperimentConfig config,
-                        SupervisorParams params = {});
+    explicit Supervisor(ExperimentConfig config);
 
     /**
      * Run @p app under supervision.  Returns the final attempt's
@@ -91,7 +73,6 @@ class Supervisor
 
   private:
     ExperimentConfig baseCfg;
-    SupervisorParams sp;
 };
 
 /**

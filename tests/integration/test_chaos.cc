@@ -103,7 +103,6 @@ supervisedChaosConfig(std::uint64_t seed)
     cfg.masterSeed = seed;
     cfg.label = "chaos_supervised";
     cfg.snapshot.checkpointEvery = msToTicks(200);
-    cfg.snapshot.checkpointDir = ::testing::TempDir();
     return cfg;
 }
 

@@ -4,13 +4,17 @@
  * (small) experiment runs.  Clean pass-through, quarantine of a
  * persistently failing core, class-disable fallback when the faulty
  * core cannot be hotplugged out, fresh-start recovery without
- * checkpoints, and byte-identical recovery decisions per seed.
+ * checkpoints, byte-identical recovery decisions per seed, and a
+ * golden of the report digests of a small chaos sweep.
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <string>
 
+#include "base/strutil.hh"
 #include "supervise/supervisor.hh"
 #include "workload/apps.hh"
 
@@ -29,7 +33,7 @@ shortApp(Tick duration = msToTicks(2000))
     return app;
 }
 
-/** Config with periodic checkpoints in a per-test temp dir. */
+/** Config with periodic checkpoints. */
 ExperimentConfig
 supervisedConfig(const std::string &name, std::uint64_t seed)
 {
@@ -37,7 +41,23 @@ supervisedConfig(const std::string &name, std::uint64_t seed)
     cfg.masterSeed = seed;
     cfg.label = name;
     cfg.snapshot.checkpointEvery = msToTicks(200);
-    cfg.snapshot.checkpointDir = ::testing::TempDir();
+    return cfg;
+}
+
+/** abrun's cell config under --chaos, with the watchdog off. */
+ExperimentConfig
+chaosCellConfig(std::uint64_t seed)
+{
+    ExperimentConfig cfg;
+    cfg.masterSeed = seed;
+    cfg.label = format("abrun.s%llu", static_cast<unsigned long long>(seed));
+    cfg.snapshot.checkpointEvery = msToTicks(200);
+    cfg.fault.enabled = true;
+    cfg.fault.hotplugRatePerSec = 2.0;
+    cfg.fault.thermalSpikeRatePerSec = 1.0;
+    cfg.fault.taskStallRatePerSec = 1.0;
+    cfg.fault.crashRatePerSec = 0.2;
+    cfg.fault.invariantBreakRatePerSec = 0.2;
     return cfg;
 }
 
@@ -120,9 +140,7 @@ TEST(Supervisor, RecoversByFreshRestartWithoutCheckpoints)
     cfg.fault.enabled = true;
     cfg.fault.persistentCrashCore = 5;
     cfg.fault.persistentCrashAt = msToTicks(500);
-    SupervisorParams sp;
-    sp.checkpointEvery = 0; // keep checkpoints off
-    Supervisor supervisor(cfg, sp);
+    Supervisor supervisor(cfg);
     const SupervisedRunResult r = supervisor.run(shortApp());
     EXPECT_EQ(r.report.outcome, RecoveryOutcome::degraded);
     EXPECT_FALSE(r.run.failed);
@@ -177,4 +195,72 @@ TEST(Supervisor, ReportRendersActionsAndDigest)
     EXPECT_NE(text.find("fatal-fault:cpu6"), std::string::npos);
     EXPECT_NE(text.find("quarantine-core(6)"), std::string::npos);
     EXPECT_NE(text.find("digest=0x"), std::string::npos);
+}
+
+TEST(Supervisor, ChaosRecoveryDigestsMatchGolden)
+{
+    // Every latency app x seeds 1-3 under abrun's --chaos cell config
+    // (a cell's report does not depend on the watchdog while it never
+    // trips).  The table pins each cell's outcome and report digest:
+    // a change that moves any recovery decision shows up here.
+    const std::string golden = R"(
+pdf_reader s1 recovered a453448e4c4af2b9
+pdf_reader s2 clean 007efa5f757573a9
+pdf_reader s3 clean 6d535c3ec7c5eef5
+video_editor s1 recovered 649b2985fd986908
+video_editor s2 clean 09cc03a94fc0fad8
+video_editor s3 clean dec691b7c4fe744b
+photo_editor s1 recovered de26d002a6eb279b
+photo_editor s2 clean 8e223de671ab34fb
+photo_editor s3 clean 1f4afcbc5c3ffc2b
+bbench s1 recovered d28b32261012ef1b
+bbench s2 clean 2a37696f013d6553
+bbench s3 degraded e9c5a05591f07a8c
+virus_scanner s1 recovered bbeb788884b96c6e
+virus_scanner s2 clean acdd367e49443c55
+virus_scanner s3 degraded 692fdaf39ec8296a
+browser s1 recovered ae701db21366886b
+browser s2 recovered 2642f654ad46d0da
+browser s3 degraded 3ed8de25057efe2c
+encoder s1 recovered 7795cdd1bb9798b2
+encoder s2 recovered 4356171ff2aff75e
+encoder s3 degraded 8b862ea17d972576
+)";
+    std::string actual = "\n";
+    for (const AppSpec &app : latencyApps()) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            Supervisor supervisor(chaosCellConfig(seed));
+            const RecoveryReport report = supervisor.run(app).report;
+            actual += format("%s s%llu %s %016llx\n", app.name.c_str(),
+                             static_cast<unsigned long long>(seed),
+                             recoveryOutcomeName(report.outcome),
+                             static_cast<unsigned long long>(
+                                 report.digest()));
+        }
+    }
+    EXPECT_EQ(actual, golden) << "actual table:" << actual;
+}
+
+TEST(Supervisor, RollbackNeedsNoCheckpointFiles)
+{
+    // bbench seed 1 of the golden rolls back to its 800 ms checkpoint.
+    // That target lives in memory, so the run leaves the checkpoint
+    // dir empty and does not depend on the dir being writable.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(::testing::TempDir()) /
+        format("sup_nofiles_%d", static_cast<int>(getpid()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    ExperimentConfig cfg = chaosCellConfig(1);
+    cfg.snapshot.checkpointDir = dir.string();
+    const SupervisedRunResult a = Supervisor(cfg).run(bbenchApp());
+    ASSERT_FALSE(a.report.events.empty());
+    EXPECT_EQ(a.report.events.back().rollbackTo, msToTicks(800));
+    EXPECT_TRUE(fs::is_empty(dir));
+
+    cfg.snapshot.checkpointDir = (dir / "missing").string();
+    const SupervisedRunResult b = Supervisor(cfg).run(bbenchApp());
+    EXPECT_EQ(b.report.digest(), a.report.digest())
+        << a.report.toString() << b.report.toString();
+    fs::remove_all(dir);
 }

@@ -12,7 +12,7 @@
  *   0   the supervised run ended clean, recovered, or degraded
  *   1   the supervisor exhausted its escalation ladder (permanent)
  *   2   CLI usage error (permanent)
- *   3   unwritable report/checkpoint path (permanent)
+ *   3   unwritable report path (permanent)
  *   86  watchdog: the child stalled past its wall-clock limit
  *       (transient - retried with backoff)
  *
@@ -20,6 +20,10 @@
  * also transient: the cell is retried with exponential backoff up to
  * --retries times before it is declared lost.  The sweep report
  * aggregates every cell; the tool exits 0 iff no cell was lost.
+ *
+ * A cell's periodic checkpoints stay in its memory as rollback
+ * targets, so the report dir ends up holding only the cell reports
+ * and sweep.txt.
  *
  * The simulation inside each cell is deterministic per seed; the
  * *supervision* of the sweep (retries, backoff) only re-runs that
@@ -114,7 +118,6 @@ runCell(const SweepOptions &opt, const AppSpec &app,
     cfg.label = format("abrun.s%llu",
                        static_cast<unsigned long long>(seed));
     cfg.snapshot.checkpointEvery = opt.checkpointEvery;
-    cfg.snapshot.checkpointDir = opt.reportDir;
     cfg.watchdog.enabled = true;
     cfg.watchdog.stallLimitSec = opt.watchdogStallSec;
     if (opt.hotplugRate > 0.0 || opt.thermalRate > 0.0 ||
@@ -197,8 +200,7 @@ main(int argc, char **argv)
     args.addInt("checkpoint-every-ms", 200,
                 "periodic checkpoint interval (simulated ms)");
     args.addString("report-dir", "abrun-reports",
-                   "directory for cell reports, checkpoints, and "
-                   "the sweep report");
+                   "directory for cell reports and the sweep report");
     args.addInt("retries", 2,
                 "transient-failure retries per cell (watchdog "
                 "trips and signals; permanent exits are not "
