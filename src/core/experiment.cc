@@ -122,7 +122,6 @@ struct Rig
                 injector->addThermal(throttle.get());
             checker = std::make_unique<InvariantChecker>(
                 sim, platform, &sched, &power);
-            checker->setNext(sched.observer());
             sched.setObserver(checker.get());
             // Injected invariant breaks surface through the checker
             // like any sweep finding, so supervised runs detect them

@@ -260,8 +260,6 @@ void
 InvariantChecker::onWakeup(const Task &task, const Core &target)
 {
     checkPlacement(task, target, "wakeup");
-    if (nextObserver != nullptr)
-        nextObserver->onWakeup(task, target);
 }
 
 void
@@ -271,26 +269,20 @@ InvariantChecker::onSleep(const Task &task)
         violate(format("task '%s' slept with %g pending instructions",
                        task.name().c_str(),
                        task.pendingInstructions()));
-    if (nextObserver != nullptr)
-        nextObserver->onSleep(task);
 }
 
 void
-InvariantChecker::onMigrate(const Task &task, const Core &from,
-                            const Core &to, bool up)
+InvariantChecker::onMigrate(const Task &task, const Core &,
+                            const Core &to, bool)
 {
     checkPlacement(task, to, "migration");
-    if (nextObserver != nullptr)
-        nextObserver->onMigrate(task, from, to, up);
 }
 
 void
-InvariantChecker::onBalance(const Task &task, const Core &from,
+InvariantChecker::onBalance(const Task &task, const Core &,
                             const Core &to)
 {
     checkPlacement(task, to, "balance");
-    if (nextObserver != nullptr)
-        nextObserver->onBalance(task, from, to);
 }
 
 } // namespace biglittle

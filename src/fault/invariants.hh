@@ -2,9 +2,9 @@
  * @file
  * InvariantChecker: simulation-wide sanity monitor.
  *
- * Registered as a scheduler observer (chaining to any other observer,
- * e.g. the trace recorder) and as a periodic sweep, it asserts the
- * properties every healthy run - faulty or not - must keep:
+ * Registered as the scheduler observer and as a periodic sweep, it
+ * asserts the properties every healthy run - faulty or not - must
+ * keep:
  *
  *  - at least one little core stays online (the Exynos 5422 boot
  *    rule, while the platform enforces it);
@@ -93,9 +93,6 @@ class InvariantChecker : public SchedObserver
      */
     void reportExternal(std::string what);
 
-    /** Forward observer callbacks to @p next after checking. */
-    void setNext(SchedObserver *next) { nextObserver = next; }
-
     /** Completed sweeps. */
     std::uint64_t checks() const { return checkCount; }
 
@@ -131,7 +128,6 @@ class InvariantChecker : public SchedObserver
     InvariantParams ip;
 
     PeriodicTask *sweepTask = nullptr;
-    SchedObserver *nextObserver = nullptr;
 
     Tick lastNow = 0;
     bool haveEnergyBase = false;

@@ -105,7 +105,6 @@ class HmpScheduler
 
     /** Install an observer of placement decisions (may be null). */
     void setObserver(SchedObserver *observer) { schedObserver = observer; }
-    SchedObserver *observer() const { return schedObserver; }
 
     // ---- called by Task / CoreRunner ----
 

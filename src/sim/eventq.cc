@@ -153,7 +153,7 @@ EventQueue::enableRecentLog(std::size_t n)
 }
 
 void
-EventQueue::serialize(Serializer &s) const
+EventQueue::serialize(Serializer &s) const // ablint:allow(serialize-coverage): digest-only, restore by replay
 {
     s.putU64(curTick);
     s.putU64(nextSequence);

@@ -172,7 +172,6 @@ class EventQueue
      * deserialize(): restore re-executes to the checkpoint tick and
      * byte-compares this digest instead (docs/DETERMINISM.md).
      */
-    // ablint:allow(serialize-pair): digest-only, restore by replay
     void serialize(Serializer &s) const;
 
   private:

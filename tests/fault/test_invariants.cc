@@ -1,13 +1,11 @@
 /**
  * @file
  * Tests for the InvariantChecker: a healthy system passes every
- * sweep, manufactured bad states are flagged (without crashing), and
- * observer callbacks chain to the next observer.
+ * sweep, and manufactured bad states are flagged (without
+ * crashing).
  */
 
 #include <gtest/gtest.h>
-
-#include <vector>
 
 #include "fault/invariants.hh"
 #include "platform/platform.hh"
@@ -25,33 +23,6 @@ pureCompute()
 {
     return WorkClass{0.8, 0.0, 64.0};
 }
-
-/** Observer that records which callbacks reached it. */
-class RecordingObserver : public SchedObserver
-{
-  public:
-    std::vector<std::string> events;
-
-    void
-    onWakeup(const Task &, const Core &) override
-    {
-        events.push_back("wakeup");
-    }
-
-    void onSleep(const Task &) override { events.push_back("sleep"); }
-
-    void
-    onMigrate(const Task &, const Core &, const Core &, bool) override
-    {
-        events.push_back("migrate");
-    }
-
-    void
-    onBalance(const Task &, const Core &, const Core &) override
-    {
-        events.push_back("balance");
-    }
-};
 
 class InvariantTest : public ::testing::Test
 {
@@ -139,24 +110,6 @@ TEST_F(InvariantTest, FlagsUndrainedSleep)
     t.submitWork(1e9);
     checker.onSleep(t); // pending work: not a legal sleep
     EXPECT_EQ(checker.violationCount(), 1u);
-}
-
-TEST_F(InvariantTest, ObserverCallbacksChain)
-{
-    InvariantChecker checker(sim, plat, &sched, &power);
-    RecordingObserver next;
-    checker.setNext(&next);
-    sched.start();
-    Task &t = sched.createTask("t", pureCompute());
-
-    checker.onWakeup(t, plat.core(0));
-    checker.onBalance(t, plat.core(0), plat.core(1));
-    checker.onMigrate(t, plat.core(0), plat.core(4), true);
-    EXPECT_EQ(next.events,
-              (std::vector<std::string>{"wakeup", "balance",
-                                        "migrate"}));
-    // Healthy placements produced no violations along the way.
-    EXPECT_EQ(checker.violationCount(), 0u);
 }
 
 TEST_F(InvariantTest, RecordingIsCappedButCountingIsNot)

@@ -287,11 +287,12 @@ TEST(CheckpointRotation, NonTickNameStillListsRotationSiblings)
 
 TEST(CheckpointRotation, RepeatedRewritesNeverClobberNewestGood)
 {
-    // The rollback-retry loop rewrites the same checkpoint path once
-    // per attempt.  The rotation chain must shift .1 -> .2 before
-    // the primary rotates into .1: with the old single-slot scheme,
-    // write 3 would overwrite the .1 holding write 2 - the newest
-    // good generation - leaving only the (possibly corrupt) primary.
+    // An unsupervised --checkpoint-every rerun into the same
+    // checkpoint dir rewrites each checkpoint path once per run.  The
+    // rotation chain must shift .1 -> .2 before the primary rotates
+    // into .1: with a single slot, write 3 would overwrite the .1
+    // holding write 2 - the newest good generation - leaving only
+    // the (possibly corrupt) primary.
     const std::string path =
         ::testing::TempDir() + "bl_ckpt_chain.ckpt";
     for (const char *suffix : {"", ".1", ".2"})

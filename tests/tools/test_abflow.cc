@@ -4,8 +4,8 @@
  * (parameter parsing, per-function summaries across branches,
  * loops, multi-hop call chains and constructor init lists), the
  * known-bad / suppressed / sanitized-clean triple for each of the
- * three flow rules, the taint-bound vs deser-bound dedupe, and a
- * meta-test that re-lints the real checkout with the flow rules on.
+ * three flow rules, and a meta-test that re-lints the real checkout
+ * with the flow rules on.
  *
  * Trigger constructs live inside string literals so linting this
  * file never trips the rules it tests.
@@ -319,6 +319,19 @@ TEST(AbflowTaintBound, SanitizersMakeItClean)
           "    const std::uint64_t n =\n"
           "        std::min(d.getU64(), kMaxCells);\n"
           "    v.resize(n);\n"
+          "}\n"
+          // An explicit template argument list still reads as a
+          // clamp, in a sink and as a strong kill inside a block.
+          "void viaTemplateClamp(Deserializer &d, std::vector<int> &v) {\n"
+          "    const std::uint64_t n = d.getU64();\n"
+          "    v.assign(std::min<std::size_t>(n, 64), 0);\n"
+          "}\n"
+          "void viaBlockClamp(Deserializer &d, std::vector<int> &v) {\n"
+          "    std::uint64_t n = d.getU64();\n"
+          "    if (d.ok()) {\n"
+          "        n = std::min<std::uint64_t>(n, kMaxCells);\n"
+          "        v.resize(n);\n"
+          "    }\n"
           "}\n"}});
     EXPECT_EQ(countRule(findings, "taint-bound"), 0u);
 }
@@ -475,28 +488,6 @@ TEST(AbflowStatusDrop, LoopCarriedUseIsClean)
           "    }\n"
           "}\n"}});
     EXPECT_EQ(countRule(findings, "status-drop"), 0u);
-}
-
-// ---- dedupe: taint-bound supersedes deser-bound ----------------------
-
-TEST(AbflowDedupe, TaintBoundSupersedesDeserBoundOnSameLine)
-{
-    // A one-function chain trips both the lexical deser-bound and
-    // the interprocedural taint-bound on the same sink line; the
-    // combined pass must keep only the flow finding.
-    ablint::ScanInput in = makeInput(
-        {{"src/a.cc",
-          "void decode(Deserializer &d, std::vector<int> &v) {\n"
-          "    const std::uint64_t n = d.getU64();\n"
-          "    v.resize(n);\n"
-          "}\n"}});
-    const auto all = ablint::runAllRules(in);
-    EXPECT_EQ(countRule(all, "taint-bound"), 1u);
-    EXPECT_EQ(countRule(all, "deser-bound"), 0u);
-    // The lexical rule alone still fires - the dedupe, not the
-    // rule, removed it.
-    const auto lexical = ablint::runRules(in);
-    EXPECT_EQ(countRule(lexical, "deser-bound"), 1u);
 }
 
 // ---- profile plumbing ------------------------------------------------

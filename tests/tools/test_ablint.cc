@@ -1,10 +1,12 @@
 /**
  * @file
- * ablint's own test suite: every rule gets a known-bad snippet
- * (positive), a suppressed variant, and an allowlisted/clean
- * variant; the baseline machinery is exercised for both suppression
- * and staleness; and a meta-test locks the real repo to lint-clean
- * with a baseline that only references live lines.
+ * ablint's own test suite: every lexical rule gets a known-bad
+ * snippet (positive), a suppressed variant, and an allowlisted/clean
+ * variant; so do the bounded-decoding and serialization-registry
+ * guarantees, checked through the full pass by taint-bound and
+ * serialize-coverage; the baseline machinery is exercised for both
+ * suppression and staleness; and a meta-test locks the real repo to
+ * lint-clean with a baseline that only references live lines.
  */
 
 #include <gtest/gtest.h>
@@ -22,15 +24,37 @@ namespace
 /** Findings of @p rule in the rule pass over in-memory files. */
 std::vector<ablint::Finding>
 lint(const std::vector<std::pair<std::string, std::string>> &files,
-     const std::string &docsText = "",
-     const std::string &registryText = "")
+     const std::string &docsText = "")
 {
     ablint::ScanInput in;
     for (const auto &[path, text] : files)
         in.files.push_back(ablint::lexString(path, text));
     in.docsText = docsText;
-    in.registryText = registryText;
     return ablint::runRules(in);
+}
+
+/** Findings of every pass (lexical, semantic, dataflow). */
+std::vector<ablint::Finding>
+lintAll(const std::vector<std::pair<std::string, std::string>> &files,
+        const std::string &registryText = "")
+{
+    ablint::ScanInput in;
+    for (const auto &[path, text] : files)
+        in.files.push_back(ablint::lexString(path, text));
+    in.registryText = registryText;
+    return ablint::runAllRules(in);
+}
+
+/** Lines of @p rule's findings, in report order. */
+std::vector<int>
+linesOf(const std::vector<ablint::Finding> &findings,
+        const std::string &rule)
+{
+    std::vector<int> lines;
+    for (const auto &f : findings)
+        if (f.rule == rule)
+            lines.push_back(f.line);
+    return lines;
 }
 
 std::size_t
@@ -275,30 +299,34 @@ TEST(AblintVoidDiscard, TestsMayDiscardIntentionally)
     EXPECT_EQ(countRule(findings, "void-discard"), 0u);
 }
 
+// Bounded decoding (docs/ROBUSTNESS.md §7): a count read straight
+// off the wire must not size an allocation unchecked.  taint-bound
+// enforces it; test_abflow.cc covers its call chains.
+
 TEST(AblintDeserBound, FlagsRawReadSizingAllocation)
 {
-    const auto findings = lint(
+    const auto findings = lintAll(
         {{"src/a.cc",
           "void f(Deserializer &d) {\n"
           "    const std::uint64_t n = d.getU64();\n"
           "    out.resize(n);\n" // unchecked wire count: flagged
           "}\n"}});
-    EXPECT_EQ(countRule(findings, "deser-bound"), 1u);
+    EXPECT_EQ(linesOf(findings, "taint-bound"), std::vector<int>{3});
 }
 
 TEST(AblintDeserBound, GetCountAndBoundCheckedAreClean)
 {
     // getCount() carries the bound check internally.
-    const auto viaGetCount = lint(
+    const auto viaGetCount = lintAll(
         {{"src/a.cc",
           "void f(Deserializer &d) {\n"
           "    const std::uint64_t n = d.getCount(8);\n"
           "    out.resize(n);\n"
           "}\n"}});
-    EXPECT_EQ(countRule(viaGetCount, "deser-bound"), 0u);
+    EXPECT_EQ(countRule(viaGetCount, "taint-bound"), 0u);
 
     // An explicit comparison before use counts as a check.
-    const auto compared = lint(
+    const auto compared = lintAll(
         {{"src/b.cc",
           "void f(Deserializer &d) {\n"
           "    const std::uint64_t n = d.getU64();\n"
@@ -306,95 +334,110 @@ TEST(AblintDeserBound, GetCountAndBoundCheckedAreClean)
           "        return;\n"
           "    out.reserve(n);\n"
           "}\n"}});
-    EXPECT_EQ(countRule(compared, "deser-bound"), 0u);
+    EXPECT_EQ(countRule(compared, "taint-bound"), 0u);
 
-    // So does clamping through std::min().
-    const auto clamped = lint(
+    // So does clamping through std::min(), template arguments and
+    // all.
+    const auto clamped = lintAll(
         {{"src/c.cc",
           "void f(Deserializer &d) {\n"
           "    const std::uint64_t n = d.getU64();\n"
           "    out.assign(std::min<std::size_t>(n, 64), 0);\n"
           "}\n"}});
-    EXPECT_EQ(countRule(clamped, "deser-bound"), 0u);
+    EXPECT_EQ(countRule(clamped, "taint-bound"), 0u);
 }
 
 TEST(AblintDeserBound, FlagsNewArrayAndAssign)
 {
-    const auto findings = lint(
+    const auto findings = lintAll(
         {{"src/a.cc",
           "void f(Deserializer &d) {\n"
           "    const std::uint64_t n = d.getU32();\n"
           "    auto *buf = new std::uint8_t[n];\n" // flagged
           "    counts.assign(n, 0);\n" // flagged
           "}\n"}});
-    EXPECT_EQ(countRule(findings, "deser-bound"), 2u);
+    EXPECT_EQ(linesOf(findings, "taint-bound"),
+              (std::vector<int>{3, 4}));
 }
 
 TEST(AblintDeserBound, SuppressedAndTestScopedVariants)
 {
-    const auto suppressed = lint(
+    const auto suppressed = lintAll(
         {{"src/a.cc",
           "void f(Deserializer &d) {\n"
           "    const std::uint64_t n = d.getU64();\n"
-          "    // ablint:allow(deser-bound): n is a enum tag, <= 8\n"
+          "    // ablint:allow(taint-bound): n is a enum tag, <= 8\n"
           "    out.resize(n);\n"
           "}\n"}});
-    EXPECT_EQ(countRule(suppressed, "deser-bound"), 0u);
+    EXPECT_EQ(countRule(suppressed, "taint-bound"), 0u);
+    EXPECT_EQ(countRule(suppressed, "stale-allow"), 0u);
 
-    const auto inTest = lint(
+    const auto inTest = lintAll(
         {{"tests/a.cc",
-          "const std::uint64_t n = d.getU64();\n"
-          "out.resize(n);\n"}});
-    EXPECT_EQ(countRule(inTest, "deser-bound"), 0u);
+          "void f(Deserializer &d) {\n"
+          "    const std::uint64_t n = d.getU64();\n"
+          "    out.resize(n);\n"
+          "}\n"}});
+    EXPECT_EQ(countRule(inTest, "taint-bound"), 0u);
 }
+
+// The serialization registry (tools/ablint/serialized_state.txt):
+// serialize-coverage checks it against absema's class model, so the
+// fixtures define their serializers.
 
 TEST(AblintSerialize, PairAndRegistryEnforced)
 {
     const std::string header =
         "class Widget {\n"
         "  public:\n"
-        "    void serialize(Serializer &s) const;\n"
+        "    void serialize(Serializer &s) const { s.putU64(1); }\n"
         "};\n";
-    // Unregistered and unpaired: both rules fire.
-    const auto bad = lint({{"src/w.hh", header}});
-    EXPECT_EQ(countRule(bad, "serialize-pair"), 1u);
-    EXPECT_EQ(countRule(bad, "serialize-registry"), 1u);
+    // Unregistered and unpaired: one finding at the serializer, one
+    // at the class.
+    const auto bad = lintAll({{"src/w.hh", header}});
+    EXPECT_EQ(linesOf(bad, "serialize-coverage"),
+              (std::vector<int>{1, 3}));
 
     // Paired and registered against a live section literal: clean.
     const std::string good =
         "class Widget {\n"
         "  public:\n"
-        "    void serialize(Serializer &s) const;\n"
-        "    void deserialize(Deserializer &d);\n"
+        "    void serialize(Serializer &s) const { s.putU64(1); }\n"
+        "    void deserialize(Deserializer &d) { d.getU64(); }\n"
         "};\n";
     const auto clean =
-        lint({{"src/w.hh", good},
-              {"src/rig.cc", "section(\"widget\", fill);\n"}},
-             "", "Widget widget\n");
-    EXPECT_EQ(countRule(clean, "serialize-pair"), 0u);
-    EXPECT_EQ(countRule(clean, "serialize-registry"), 0u);
+        lintAll({{"src/w.hh", good},
+                 {"src/rig.cc", "section(\"widget\", fill);\n"}},
+                "Widget widget\n");
+    EXPECT_EQ(countRule(clean, "serialize-coverage"), 0u);
 }
 
 TEST(AblintSerialize, RegistryStalenessIsReported)
 {
     // Entry names a class that does not exist, with a cover string
-    // that is also nowhere in src: two registry findings.
+    // that is also nowhere in src: two findings on the entry's line.
     const auto findings =
-        lint({{"src/empty.cc", "int x;\n"}}, "",
-             "Ghost missing-section\n");
-    EXPECT_EQ(countRule(findings, "serialize-registry"), 2u);
+        lintAll({{"src/empty.cc", "int x;\n"}},
+                "Ghost missing-section\n");
+    EXPECT_EQ(linesOf(findings, "serialize-coverage"),
+              (std::vector<int>{1, 1}));
+    for (const auto &f : findings)
+        EXPECT_EQ(f.file, "tools/ablint/serialized_state.txt");
 }
 
 TEST(AblintSerialize, DigestOnlyNeedsInlineAllow)
 {
     const std::string digestOnly =
         "class Queue {\n"
-        "    // ablint:allow(serialize-pair): digest only\n"
-        "    void serialize(Serializer &s) const;\n"
+        "    // ablint:allow(serialize-coverage): digest only\n"
+        "    void serialize(Serializer &s) const { s.putU64(1); }\n"
         "};\n";
-    const auto findings =
-        lint({{"src/q.hh", digestOnly}}, "", "Queue q\n");
-    EXPECT_EQ(countRule(findings, "serialize-pair"), 0u);
+    const auto findings = lintAll(
+        {{"src/q.hh", digestOnly},
+         {"src/rig.cc", "section(\"q\", fill);\n"}},
+        "Queue q\n");
+    EXPECT_EQ(countRule(findings, "serialize-coverage"), 0u);
+    EXPECT_EQ(countRule(findings, "stale-allow"), 0u);
 }
 
 TEST(AblintConfigKey, UndocumentedKeyFlagged)

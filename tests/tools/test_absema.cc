@@ -4,7 +4,8 @@
  * (templates, nested classes, macros, default member initializers,
  * out-of-line definitions, ctor init-lists), positive and negative
  * coverage for every semantic rule (serialize-coverage, schema-drift,
- * fatal-reach, rng-stream, layer-cycle, stale-allow), the manifest
+ * rng-stream, layer-cycle, stale-allow), post-init-fatal on call
+ * chains below Experiment::runApp, the manifest
  * round-trip and the --write-schema refusal guard, and the CI output
  * formats.  The headline acceptance test: adding a field to a
  * serialized class without a checkpointVersion bump fires BOTH
@@ -49,6 +50,20 @@ ofRule(const std::vector<ablint::Finding> &findings,
     return out;
 }
 
+/**
+ * input() with Box registered against the "runtime" checkpoint
+ * section, plus a file that names that section (serialize-coverage
+ * checks that every registry cover exists).
+ */
+ablint::ScanInput
+boxInput(std::vector<std::pair<std::string, std::string>> files,
+         const std::string &schemaText = "")
+{
+    files.push_back(
+        {"src/core/rig.cc", "section(\"runtime\", fill);\n"});
+    return input(files, "Box runtime\n", schemaText);
+}
+
 const ablint::ClassInfo *
 classNamed(const ablint::Model &m, const std::string &qualName)
 {
@@ -67,11 +82,13 @@ fnNamed(const ablint::Model &m, const std::string &qualName)
     return nullptr;
 }
 
+/** Is there a `name(` call inside @p fn's parsed body range? */
 bool
 callsName(const ablint::FunctionDef &fn, const std::string &name)
 {
-    for (const auto &c : fn.calls)
-        if (c == name)
+    const auto &toks = fn.file->tokens;
+    for (std::size_t i = fn.bodyBegin; i + 1 < fn.bodyEnd; ++i)
+        if (toks[i].text == name && toks[i + 1].text == "(")
             return true;
     return false;
 }
@@ -271,7 +288,7 @@ const char *const checkpointSource =
 TEST(AbsemaSerializeCoverage, CoveredClassIsClean)
 {
     const auto in =
-        input({{"src/sim/box.hh", boxSource}}, "Box runtime\n");
+        boxInput({{"src/sim/box.hh", boxSource}});
     const auto findings = ablint::runSemaRules(in);
     EXPECT_TRUE(ofRule(findings, "serialize-coverage").empty());
 }
@@ -282,7 +299,7 @@ TEST(AbsemaSerializeCoverage, UncoveredMemberIsFlagged)
     src.insert(src.find("  private:") + 11,
                "    int forgotten = 0;\n");
     const auto in =
-        input({{"src/sim/box.hh", src}}, "Box runtime\n");
+        boxInput({{"src/sim/box.hh", src}});
     const auto hits =
         ofRule(ablint::runSemaRules(in), "serialize-coverage");
     ASSERT_EQ(hits.size(), 1u);
@@ -294,7 +311,7 @@ TEST(AbsemaSerializeCoverage, WriteOnlyMemberIsFlagged)
 {
     // Written by serialize() but never read back: the message calls
     // out the asymmetric side.
-    const auto in = input(
+    const auto in = boxInput(
         {{"src/sim/box.hh",
           "class Box\n"
           "{\n"
@@ -302,8 +319,7 @@ TEST(AbsemaSerializeCoverage, WriteOnlyMemberIsFlagged)
           "    { s.putU64(id); }\n"
           "    void deserialize(Deserializer &d) { (void)d; }\n"
           "    std::uint64_t id = 0;\n"
-          "};\n"}},
-        "Box runtime\n");
+          "};\n"}});
     const auto hits =
         ofRule(ablint::runSemaRules(in), "serialize-coverage");
     ASSERT_GE(hits.size(), 1u);
@@ -316,7 +332,7 @@ TEST(AbsemaSerializeCoverage, WriteOnlyMemberIsFlagged)
 
 TEST(AbsemaSerializeCoverage, WireOrderMismatchIsFlagged)
 {
-    const auto in = input(
+    const auto in = boxInput(
         {{"src/sim/box.hh",
           "class Box\n"
           "{\n"
@@ -332,8 +348,7 @@ TEST(AbsemaSerializeCoverage, WireOrderMismatchIsFlagged)
           "    }\n"
           "    std::uint64_t id = 0;\n"
           "    double load = 0.0;\n"
-          "};\n"}},
-        "Box runtime\n");
+          "};\n"}});
     const auto hits =
         ofRule(ablint::runSemaRules(in), "serialize-coverage");
     ASSERT_EQ(hits.size(), 1u);
@@ -346,7 +361,7 @@ TEST(AbsemaSerializeCoverage, WireOrderMismatchIsFlagged)
 TEST(AbsemaSerializeCoverage, GetCountPairsWithPutU64)
 {
     // The Serializer contract: getCount() reads what putU64() wrote.
-    const auto in = input(
+    const auto in = boxInput(
         {{"src/sim/box.hh",
           "class Box\n"
           "{\n"
@@ -355,8 +370,7 @@ TEST(AbsemaSerializeCoverage, GetCountPairsWithPutU64)
           "    void deserialize(Deserializer &d)\n"
           "    { items.resize(d.getCount(8)); }\n"
           "    std::vector<std::uint64_t> items;\n"
-          "};\n"}},
-        "Box runtime\n");
+          "};\n"}});
     const auto hits =
         ofRule(ablint::runSemaRules(in), "serialize-coverage");
     EXPECT_TRUE(hits.empty());
@@ -364,7 +378,7 @@ TEST(AbsemaSerializeCoverage, GetCountPairsWithPutU64)
 
 TEST(AbsemaSerializeCoverage, ExemptMembersAndInlineAllow)
 {
-    const auto in = input(
+    const auto in = boxInput(
         {{"src/sim/box.hh",
           "class Box\n"
           "{\n"
@@ -379,8 +393,7 @@ TEST(AbsemaSerializeCoverage, ExemptMembersAndInlineAllow)
           "    std::function<void()> cb;\n" // callback
           "    // ablint:allow(serialize-coverage): diagnostic only\n"
           "    std::uint64_t dropCount = 0;\n"
-          "};\n"}},
-        "Box runtime\n");
+          "};\n"}});
     const auto hits =
         ofRule(ablint::runSemaRules(in), "serialize-coverage");
     EXPECT_TRUE(hits.empty());
@@ -390,7 +403,7 @@ TEST(AbsemaSerializeCoverage, SplitAcrossFlavorPairs)
 {
     // Base/derived split: serializeState covers what serialize does
     // not; coverage is the union across flavor pairs.
-    const auto in = input(
+    const auto in = boxInput(
         {{"src/sim/box.hh",
           "class Box\n"
           "{\n"
@@ -404,8 +417,7 @@ TEST(AbsemaSerializeCoverage, SplitAcrossFlavorPairs)
           "    { load = d.getDouble(); }\n"
           "    std::uint64_t id = 0;\n"
           "    double load = 0.0;\n"
-          "};\n"}},
-        "Box runtime\n");
+          "};\n"}});
     const auto hits =
         ofRule(ablint::runSemaRules(in), "serialize-coverage");
     EXPECT_TRUE(hits.empty());
@@ -417,10 +429,9 @@ TEST(AbsemaSerializeCoverage, SplitAcrossFlavorPairs)
 
 TEST(AbsemaSchemaDrift, ManifestRoundTripIsClean)
 {
-    auto in = input({{"src/sim/box.hh", boxSource},
-                     {"src/snapshot/checkpoint.hh",
-                      checkpointSource}},
-                    "Box runtime\n");
+    auto in = boxInput({{"src/sim/box.hh", boxSource},
+                        {"src/snapshot/checkpoint.hh",
+                         checkpointSource}});
     const std::string manifest = ablint::renderSchemaManifest(in);
     EXPECT_NE(manifest.find("version 2"), std::string::npos);
     EXPECT_NE(manifest.find("Box "), std::string::npos);
@@ -431,10 +442,9 @@ TEST(AbsemaSchemaDrift, ManifestRoundTripIsClean)
 
 TEST(AbsemaSchemaDrift, MissingManifestIsFlagged)
 {
-    const auto in = input({{"src/sim/box.hh", boxSource},
-                           {"src/snapshot/checkpoint.hh",
-                            checkpointSource}},
-                          "Box runtime\n");
+    const auto in = boxInput({{"src/sim/box.hh", boxSource},
+                              {"src/snapshot/checkpoint.hh",
+                               checkpointSource}});
     const auto hits =
         ofRule(ablint::runSemaRules(in), "schema-drift");
     ASSERT_EQ(hits.size(), 1u);
@@ -450,19 +460,17 @@ TEST(AbsemaSchemaDrift, AddedFieldFiresBothRules)
     // serialize-coverage catches the missing wire traffic AND
     // schema-drift catches the digest change against the committed
     // manifest.
-    auto clean = input({{"src/sim/box.hh", boxSource},
-                        {"src/snapshot/checkpoint.hh",
-                         checkpointSource}},
-                       "Box runtime\n");
+    auto clean = boxInput({{"src/sim/box.hh", boxSource},
+                           {"src/snapshot/checkpoint.hh",
+                            checkpointSource}});
     const std::string manifest = ablint::renderSchemaManifest(clean);
 
     std::string mutated = boxSource;
     mutated.insert(mutated.find("  private:") + 11,
                    "    int addedField = 0;\n");
-    auto in = input({{"src/sim/box.hh", mutated},
-                     {"src/snapshot/checkpoint.hh",
-                      checkpointSource}},
-                    "Box runtime\n", manifest);
+    auto in = boxInput({{"src/sim/box.hh", mutated},
+                        {"src/snapshot/checkpoint.hh",
+                         checkpointSource}}, manifest);
     const auto findings = ablint::runSemaRules(in);
     const auto coverage = ofRule(findings, "serialize-coverage");
     const auto drift = ofRule(findings, "schema-drift");
@@ -479,19 +487,18 @@ TEST(AbsemaSchemaDrift, VersionBumpChangesTheStory)
     // Same mutation, but checkpointVersion was bumped: the only
     // schema-drift finding is "manifest stale, regenerate" at the
     // manifest's version line, and --write-schema is permitted.
-    auto clean = input({{"src/sim/box.hh", boxSource},
-                        {"src/snapshot/checkpoint.hh",
-                         checkpointSource}},
-                       "Box runtime\n");
+    auto clean = boxInput({{"src/sim/box.hh", boxSource},
+                           {"src/snapshot/checkpoint.hh",
+                            checkpointSource}});
     const std::string manifest = ablint::renderSchemaManifest(clean);
 
     std::string mutated = boxSource;
     mutated.insert(mutated.find("  private:") + 11,
                    "    int addedField = 0;\n");
-    auto in = input({{"src/sim/box.hh", mutated},
-                     {"src/snapshot/checkpoint.hh",
-                      "constexpr int checkpointVersion = 3;\n"}},
-                    "Box runtime\n", manifest);
+    auto in = boxInput({{"src/sim/box.hh", mutated},
+                        {"src/snapshot/checkpoint.hh",
+                         "constexpr int checkpointVersion = 3;\n"}},
+                       manifest);
     const auto drift =
         ofRule(ablint::runSemaRules(in), "schema-drift");
     ASSERT_EQ(drift.size(), 1u);
@@ -503,10 +510,9 @@ TEST(AbsemaSchemaDrift, VersionBumpChangesTheStory)
 
 TEST(AbsemaSchemaDrift, RegenBlockedWithoutVersionBump)
 {
-    auto clean = input({{"src/sim/box.hh", boxSource},
-                        {"src/snapshot/checkpoint.hh",
-                         checkpointSource}},
-                       "Box runtime\n");
+    auto clean = boxInput({{"src/sim/box.hh", boxSource},
+                           {"src/snapshot/checkpoint.hh",
+                            checkpointSource}});
     const std::string manifest = ablint::renderSchemaManifest(clean);
 
     // First generation (no manifest yet) is always permitted.
@@ -515,10 +521,9 @@ TEST(AbsemaSchemaDrift, RegenBlockedWithoutVersionBump)
     std::string mutated = boxSource;
     mutated.insert(mutated.find("  private:") + 11,
                    "    int addedField = 0;\n");
-    auto in = input({{"src/sim/box.hh", mutated},
-                     {"src/snapshot/checkpoint.hh",
-                      checkpointSource}},
-                    "Box runtime\n", manifest);
+    auto in = boxInput({{"src/sim/box.hh", mutated},
+                        {"src/snapshot/checkpoint.hh",
+                         checkpointSource}}, manifest);
     const std::string blocked = ablint::schemaRegenBlocked(in);
     EXPECT_NE(blocked.find("Box"), std::string::npos);
     EXPECT_NE(blocked.find("bump checkpointVersion"),
@@ -529,10 +534,9 @@ TEST(AbsemaSchemaDrift, AllowedMemberLeavesTheDigest)
 {
     // An inline serialize-coverage allow removes the member from the
     // wire contract, so the digest (and manifest) stay unchanged.
-    auto clean = input({{"src/sim/box.hh", boxSource},
-                        {"src/snapshot/checkpoint.hh",
-                         checkpointSource}},
-                       "Box runtime\n");
+    auto clean = boxInput({{"src/sim/box.hh", boxSource},
+                           {"src/snapshot/checkpoint.hh",
+                            checkpointSource}});
     const std::string manifest = ablint::renderSchemaManifest(clean);
 
     std::string mutated = boxSource;
@@ -540,10 +544,9 @@ TEST(AbsemaSchemaDrift, AllowedMemberLeavesTheDigest)
         mutated.find("  private:") + 11,
         "    // ablint:allow(serialize-coverage): diagnostic only\n"
         "    int probeCount = 0;\n");
-    auto in = input({{"src/sim/box.hh", mutated},
-                     {"src/snapshot/checkpoint.hh",
-                      checkpointSource}},
-                    "Box runtime\n", manifest);
+    auto in = boxInput({{"src/sim/box.hh", mutated},
+                        {"src/snapshot/checkpoint.hh",
+                         checkpointSource}}, manifest);
     const auto findings = ablint::runSemaRules(in);
     EXPECT_TRUE(ofRule(findings, "serialize-coverage").empty());
     EXPECT_TRUE(ofRule(findings, "schema-drift").empty());
@@ -551,10 +554,9 @@ TEST(AbsemaSchemaDrift, AllowedMemberLeavesTheDigest)
 
 TEST(AbsemaSchemaDrift, StaleManifestEntryIsFlagged)
 {
-    auto in = input({{"src/sim/box.hh", boxSource},
-                     {"src/snapshot/checkpoint.hh",
-                      checkpointSource}},
-                    "Box runtime\n");
+    auto in = boxInput({{"src/sim/box.hh", boxSource},
+                        {"src/snapshot/checkpoint.hh",
+                         checkpointSource}});
     std::string manifest = ablint::renderSchemaManifest(in);
     manifest += "GhostClass 0123456789abcdef\n";
     in.schemaText = manifest;
@@ -567,8 +569,13 @@ TEST(AbsemaSchemaDrift, StaleManifestEntryIsFlagged)
 }
 
 /* ------------------------------------------------------------------ */
-/* fatal-reach                                                         */
+/* fatal() reachability: one post-init-fatal finding per call site    */
 /* ------------------------------------------------------------------ */
+
+// These fixtures were written for fatal-reach, which walked the call
+// graph down from Experiment::runApp.  post-init-fatal flags every
+// fatal() outside the allowlist at its own line, so each site is
+// caught however deep below an entry point it sits.
 
 TEST(AbsemaFatalReach, ReachableFatalIsFlaggedWithChain)
 {
@@ -587,13 +594,12 @@ TEST(AbsemaFatalReach, ReachableFatalIsFlaggedWithChain)
           "    fatal(\"bad config\");\n"
           "}\n"}});
     const auto hits =
-        ofRule(ablint::runSemaRules(in), "fatal-reach");
+        ofRule(ablint::runAllRules(in), "post-init-fatal");
     ASSERT_EQ(hits.size(), 1u);
+    EXPECT_EQ(hits[0].file, "src/core/experiment.cc");
     EXPECT_EQ(hits[0].line, 11);
-    EXPECT_NE(
-        hits[0].message.find(
-            "Experiment::runApp -> stepAll -> applyConfig"),
-        std::string::npos);
+    EXPECT_NE(hits[0].message.find("fatal() kills the whole run"),
+              std::string::npos);
 }
 
 TEST(AbsemaFatalReach, UnreachableAndAllowlistedAreClean)
@@ -610,8 +616,14 @@ TEST(AbsemaFatalReach, UnreachableAndAllowlistedAreClean)
          {"src/workload/apps.cc",
           "void Experiment::runApp() { lookup(); }\n"
           "void lookup() { fatal(\"unknown app\"); }\n"}});
-    EXPECT_TRUE(
-        ofRule(ablint::runSemaRules(in), "fatal-reach").empty());
+    const auto hits =
+        ofRule(ablint::runAllRules(in), "post-init-fatal");
+    // The allowlisted module stays clean.  The site runApp cannot
+    // reach is not: post-init-fatal does not look at reachability,
+    // so it asks for an inline allow there like anywhere else.
+    ASSERT_EQ(hits.size(), 1u);
+    EXPECT_EQ(hits[0].file, "src/core/experiment.cc");
+    EXPECT_EQ(hits[0].line, 5);
 }
 
 TEST(AbsemaFatalReach, PostInitFatalAllowCoversReachability)
@@ -624,8 +636,10 @@ TEST(AbsemaFatalReach, PostInitFatalAllowCoversReachability)
           "    // ablint:allow(post-init-fatal): corrupted snapshot\n"
           "    fatal(\"unrecoverable\");\n"
           "}\n"}});
-    EXPECT_TRUE(
-        ofRule(ablint::runSemaRules(in), "fatal-reach").empty());
+    const auto findings = ablint::runAllRules(in);
+    EXPECT_TRUE(ofRule(findings, "post-init-fatal").empty());
+    // The allow is used, so it is not stale either.
+    EXPECT_TRUE(ofRule(findings, "stale-allow").empty());
 }
 
 /* ------------------------------------------------------------------ */

@@ -17,33 +17,31 @@
  *  - void-discard    no `(void)` / static_cast<void> laundering of
  *                    a call's return value in src/ (Status/Result
  *                    are [[nodiscard]]; handle them for real);
- *  - serialize-pair  every class declaring serialize()/
- *                    serializePolicy()/serializeState() declares the
- *                    matching deserialize flavor;
- *  - serialize-registry  every serializable class is registered in
- *                    tools/ablint/serialized_state.txt against the
- *                    checkpoint section (or covering parent) that
- *                    captures it, so new state cannot silently
- *                    escape snapshots;
  *  - config-key      every config key string compared against `key`
  *                    in src/ is documented in EXPERIMENTS.md or a
- *                    markdown file under docs/.
+ *                    markdown file under docs/;
+ *  - post-init-fatal every fatal() call in src/ outside the modules
+ *                    whose contract it is carries an inline allow
+ *                    naming why it cannot happen mid-run.
  *
  * On top of the token-scan rules sits absema, a semantic pass over a
  * parsed entity model of src/ (classes + data members, function
- * definitions, a call graph, an #include graph - see model.hh):
+ * definitions, an #include graph - see model.hh):
  *
- *  - serialize-coverage  every plain-value data member of a class in
- *                    serialized_state.txt is referenced by both
- *                    serialize() and deserialize(), and the two
- *                    bodies emit/consume the same wire-op sequence;
+ *  - serialize-coverage  every class defining serialize()/
+ *                    serializePolicy()/serializeState() defines the
+ *                    matching deserialize flavor and is registered in
+ *                    tools/ablint/serialized_state.txt against the
+ *                    checkpoint section (or covering parent) that
+ *                    captures it, every registry entry is live,
+ *                    every plain-value data member of a registered
+ *                    class is referenced by both serialize() and
+ *                    deserialize(), and the two bodies emit/consume
+ *                    the same wire-op sequence;
  *  - schema-drift    the per-class field-schema digests committed in
  *                    tools/ablint/state_schema.txt match the code,
  *                    and field changes come with a checkpointVersion
  *                    bump (regenerate via `ablint --write-schema`);
- *  - fatal-reach     no fatal() call is transitively reachable from
- *                    the post-init entry points (Experiment::runApp,
- *                    Supervisor::runApp) through the call graph;
  *  - rng-stream      every Rng constructed with an explicit seed in
  *                    sim code traces that seed to deriveStreamSeed()
  *                    / namedStream() / fork();
@@ -61,9 +59,6 @@
  *                    reads, config/argv numeric parses) to
  *                    allocation-size, loop-bound and index sinks,
  *                    sanitized by getCount()/clamp comparisons;
- *                    supersedes the one-file lexical deser-bound
- *                    across call boundaries (overlapping findings
- *                    are deduplicated in its favor);
  *  - unit-mix        a unit-domain lattice (Tick/ns, ms, us, s,
  *                    kHz, Hz, dimensionless) seeded from
  *                    src/base/types.hh typedefs, the conversion
@@ -209,7 +204,7 @@ std::vector<Finding> runRules(const ScanInput &in,
 
 /**
  * Run the semantic (entity-model) rules: serialize-coverage,
- * schema-drift, fatal-reach, rng-stream, layer-cycle.  Builds the
+ * schema-drift, rng-stream, layer-cycle.  Builds the
  * model (tools/ablint/model.hh) from @p in internally and feeds the
  * same Finding / inline-allow machinery as runRules().
  */
@@ -237,9 +232,7 @@ std::vector<Finding> staleAllowFindings(const ScanInput &in,
 
 /**
  * runRules + runSemaRules + runFlowRules + staleAllowFindings,
- * sorted.  Overlap dedupe: a lexical `deser-bound` finding on a
- * file:line where interprocedural `taint-bound` also fired is
- * dropped in favor of the flow finding.
+ * sorted.
  */
 std::vector<Finding> runAllRules(const ScanInput &in,
                                  RuleProfile *profile = nullptr);

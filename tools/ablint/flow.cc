@@ -170,6 +170,30 @@ class BodyAnalyzer
         return e;
     }
 
+    /**
+     * The '(' that opens a call of the name at @p name, past an
+     * explicit template argument list (`std::min<std::size_t>(n,
+     * cap)`); e when the name is not called.
+     */
+    std::size_t
+    callOpen(std::size_t name) const
+    {
+        std::size_t k = name + 1;
+        if (k < e && isPunct(toks[k], '<')) {
+            int angle = 0;
+            for (; k < e; ++k) {
+                if (isPunct(toks[k], '<'))
+                    ++angle;
+                else if (isPunct(toks[k], '>') && --angle == 0)
+                    break;
+                else if (isPunct(toks[k], ';') || isPunct(toks[k], '{'))
+                    return e;
+            }
+            ++k;
+        }
+        return k < e && isPunct(toks[k], '(') ? k : e;
+    }
+
     std::size_t
     matchBracket(std::size_t open) const
     {
@@ -369,14 +393,17 @@ class BodyAnalyzer
             const Token &tk = toks[j];
             if (tk.kind != TokKind::identifier)
                 continue;
+            if (flowdetail::cleanCalls().count(tk.text)) {
+                const std::size_t open = callOpen(j);
+                if (open < to) {
+                    j = matchParen(open); // clamped/bounded: clean
+                    continue;
+                }
+            }
             const bool isCall =
                 j + 1 < to && isPunct(toks[j + 1], '(');
             if (isCall) {
                 const std::size_t close = matchParen(j + 1);
-                if (flowdetail::cleanCalls().count(tk.text)) {
-                    j = close; // clamped/bounded: clean
-                    continue;
-                }
                 if (flowdetail::taintingReads().count(tk.text)) {
                     VarTaint s;
                     s.fromSource = true;
@@ -608,7 +635,7 @@ class BodyAnalyzer
                         if (toks[k].kind == TokKind::identifier &&
                             flowdetail::cleanCalls().count(
                                 toks[k].text) > 0 &&
-                            k + 1 < e && isPunct(toks[k + 1], '(')) {
+                            callOpen(k) < e) {
                             sanitizing = true;
                             break;
                         }

@@ -1,8 +1,8 @@
 /**
  * @file
  * The entity-model builder: a scope-stack parse of the lexed token
- * streams into classes + members, function definitions + call lists,
- * and the include graph.  See model.hh for scope and blind spots.
+ * streams into classes + members, function definitions, and the
+ * include graph.  See model.hh for scope and blind spots.
  */
 
 #include "model.hh"
@@ -19,23 +19,6 @@ namespace
 
 using detail::isIdent;
 using detail::isPunct;
-
-/** Identifiers that look like calls but are not (for call lists). */
-bool
-isCallKeyword(const std::string &name)
-{
-    static const std::set<std::string> keywords = {
-        "if",       "for",         "while",     "switch",
-        "return",   "sizeof",      "alignof",   "decltype",
-        "catch",    "new",         "delete",    "throw",
-        "noexcept", "static_cast", "const_cast", "defined",
-        "dynamic_cast", "reinterpret_cast", "static_assert",
-        // The assertion contract is allowed to die; treating it as
-        // a call would make every asserting function fatal-reaching.
-        "BL_ASSERT", "assert",
-    };
-    return keywords.count(name) > 0;
-}
 
 /** Specifiers stripped from member declarations. */
 bool
@@ -741,25 +724,11 @@ class FileParser
             fn.paramBegin = s.firstParen + 1;
             fn.paramEnd = parenClose > 0 ? parenClose - 1 : 0;
             fn.headBegin = start;
-            harvestCalls(fn);
             m.functionsByName[fn.name].push_back(
                 m.functions.size());
             m.functions.push_back(std::move(fn));
         }
         i = bodyEnd;
-    }
-
-    /** Every `name(` in the body, keywords excluded. */
-    void
-    harvestCalls(FunctionDef &fn) const
-    {
-        for (std::size_t j = fn.bodyBegin; j + 1 < fn.bodyEnd;
-             ++j) {
-            if (toks[j].kind == TokKind::identifier &&
-                isPunct(toks[j + 1], '(') &&
-                !isCallKeyword(toks[j].text))
-                fn.calls.push_back(toks[j].text);
-        }
     }
 };
 

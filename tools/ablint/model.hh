@@ -9,7 +9,7 @@
  *    type, line) - nested classes carry qualified names;
  *  - function definitions, both free and member (in-class or
  *    out-of-line `Cls::method(...) { ... }`), each with its body
- *    token range and the ordered list of names it calls;
+ *    token range;
  *  - the `#include "..."` graph of the scanned files.
  *
  * Same zero-dependency philosophy as the lexer: no libclang, no
@@ -82,9 +82,6 @@ struct FunctionDef
 
     /** First token of the declaration (return type onward). */
     std::size_t headBegin = 0;
-
-    /** Callee names (last component), in body order. */
-    std::vector<std::string> calls;
 };
 
 /** One `#include "..."` edge. */

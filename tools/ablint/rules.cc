@@ -427,354 +427,29 @@ voidDiscardRule(const LexedFile &f, Sink &sink)
     }
 }
 
-// ---- deser-bound ---------------------------------------------------
+// ---- post-init-fatal -----------------------------------------------
 
 /**
- * Flag container allocations sized by a raw Deserializer read.  A
- * count that came straight off the wire via getU64()/getU32()/
- * getI64()/getU8() must not size a reserve()/resize()/assign() or a
- * `new T[n]` without a bound check first: a hostile length field
- * turns the allocation into an OOM bomb.  Deserializer::getCount()
- * carries the check built in (a count can never exceed the bytes
- * left to decode it from), so values read through it are clean —
- * this rule exists to push every new decode site toward it.
- *
- * A tainted variable is considered checked if it ever appears next
- * to a `<` or `>` comparison or inside a min()/max() call before
- * use.  Token-level like every ablint rule: it sees one file at a
- * time and does not track taint across functions or calls.
+ * Files whose fatal() calls are their documented contract: the
+ * logging module defines it, and the by-name lookup helpers
+ * (apps/spec/app_model) promise fatal() on an unknown name in their
+ * headers - all pre-run, user-asked-for-the-impossible paths.
  */
-void
-deserBoundRule(const LexedFile &f, Sink &sink)
+bool
+fatalAllowlisted(const std::string &path)
 {
-    if (f.isTest)
-        return;
-    const auto &toks = f.tokens;
-
-    static const std::set<std::string> taintingReads = {
-        "getU64", "getU32", "getI64", "getU8"};
-
-    // Pass 1: variables assigned from a raw deserializer read
-    // (`name = d.getU64(` with no ';' in between), and variables
-    // that are ever bound-checked.
-    std::set<std::string> tainted;
-    std::set<std::string> checked;
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-        if (!isPunct(toks[i], '.') ||
-            toks[i + 1].kind != TokKind::identifier ||
-            taintingReads.count(toks[i + 1].text) == 0 ||
-            !isPunct(toks[i + 2], '('))
-            continue;
-        // Walk back to the `=` of the enclosing statement.
-        std::size_t j = i;
-        while (j > 0 && !isPunct(toks[j], ';') &&
-               !isPunct(toks[j], '{') && !isPunct(toks[j], '='))
-            --j;
-        if (!isPunct(toks[j], '=') || j == 0 ||
-            toks[j - 1].kind != TokKind::identifier)
-            continue;
-        tainted.insert(toks[j - 1].text);
-    }
-    if (tainted.empty())
-        return;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-        if (toks[i].kind != TokKind::identifier ||
-            tainted.count(toks[i].text) == 0)
-            continue;
-        const bool cmpBefore =
-            i > 0 && (isPunct(toks[i - 1], '<') ||
-                      isPunct(toks[i - 1], '>'));
-        const bool cmpAfter = i + 1 < toks.size() &&
-                              (isPunct(toks[i + 1], '<') ||
-                               isPunct(toks[i + 1], '>'));
-        if (cmpBefore || cmpAfter)
-            checked.insert(toks[i].text);
-    }
-    // min()/max() clamps count as a check too.
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-        if (toks[i].kind != TokKind::identifier ||
-            (toks[i].text != "min" && toks[i].text != "max"))
-            continue;
-        // Skip an explicit template argument list:
-        // std::min<std::size_t>(n, cap).
-        std::size_t open = i + 1;
-        if (open < toks.size() && isPunct(toks[open], '<')) {
-            int angle = 0;
-            while (open < toks.size()) {
-                if (isPunct(toks[open], '<'))
-                    ++angle;
-                else if (isPunct(toks[open], '>') && --angle == 0) {
-                    ++open;
-                    break;
-                }
-                ++open;
-            }
-        }
-        if (open >= toks.size() || !isPunct(toks[open], '('))
-            continue;
-        int depth = 0;
-        for (std::size_t j = open; j < toks.size(); ++j) {
-            if (isPunct(toks[j], '('))
-                ++depth;
-            else if (isPunct(toks[j], ')') && --depth == 0)
-                break;
-            else if (toks[j].kind == TokKind::identifier &&
-                     tainted.count(toks[j].text))
-                checked.insert(toks[j].text);
-        }
-    }
-
-    // Pass 2: tainted, unchecked variables inside the argument list
-    // of an allocation-sizing call.
-    const auto flagArgs = [&](std::size_t open, int line,
-                              const std::string &what) {
-        int depth = 0;
-        for (std::size_t j = open; j < toks.size(); ++j) {
-            if (isPunct(toks[j], '('))
-                ++depth;
-            else if (isPunct(toks[j], ')') && --depth == 0)
-                return;
-            else if (toks[j].kind == TokKind::identifier &&
-                     tainted.count(toks[j].text) &&
-                     checked.count(toks[j].text) == 0) {
-                sink.add(f, line, "deser-bound",
-                         "'" + toks[j].text + "' comes straight "
-                             "from a Deserializer read and sizes " +
-                             what +
-                             " without a bound check; read it "
-                             "with getCount() (or clamp it) so a "
-                             "hostile length field cannot force a "
-                             "huge allocation");
-            }
-        }
+    static const char *const prefixes[] = {
+        "base/logging.",
+        "workload/apps.",
+        "workload/spec.",
+        "workload/app_model.",
     };
-    static const std::set<std::string> allocCalls = {
-        "reserve", "resize", "assign"};
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-        if (isPunct(toks[i], '.') &&
-            toks[i + 1].kind == TokKind::identifier &&
-            allocCalls.count(toks[i + 1].text) > 0 &&
-            isPunct(toks[i + 2], '(')) {
-            flagArgs(i + 2, toks[i + 1].line,
-                     "a " + toks[i + 1].text + "()");
-        }
-        // new T[n] / new T[n]{...}
-        if (isIdent(toks[i], "new")) {
-            std::size_t j = i + 1;
-            while (j < toks.size() &&
-                   (toks[j].kind == TokKind::identifier ||
-                    isPunct(toks[j], ':') || isPunct(toks[j], '<') ||
-                    isPunct(toks[j], '>')))
-                ++j;
-            if (j < toks.size() && isPunct(toks[j], '[')) {
-                for (std::size_t k = j + 1;
-                     k < toks.size() && !isPunct(toks[k], ']');
-                     ++k) {
-                    if (toks[k].kind == TokKind::identifier &&
-                        tainted.count(toks[k].text) &&
-                        checked.count(toks[k].text) == 0) {
-                        sink.add(
-                            f, toks[k].line, "deser-bound",
-                            "'" + toks[k].text + "' comes "
-                                "straight from a Deserializer "
-                                "read and sizes a new[] without "
-                                "a bound check; read it with "
-                                "getCount() (or clamp it) so a "
-                                "hostile length field cannot "
-                                "force a huge allocation");
-                    }
-                }
-            }
-        }
+    for (const char *p : prefixes) {
+        if (path.find(p) != std::string::npos)
+            return true;
     }
+    return false;
 }
-
-// ---- serialize-pair / serialize-registry ---------------------------
-
-struct SerializerFlavor
-{
-    const char *ser;
-    const char *deser;
-};
-
-constexpr SerializerFlavor serializerFlavors[] = {
-    {"serialize", "deserialize"},
-    {"serializePolicy", "deserializePolicy"},
-    {"serializeState", "deserializeState"},
-};
-
-struct ClassRecord
-{
-    std::string name;
-    const LexedFile *file = nullptr;
-    int line = 0; ///< class declaration line
-    std::map<std::string, int> serLines; ///< flavor.ser -> decl line
-    std::set<std::string> desers;
-};
-
-/** Extract class records (with serializer methods) from one file. */
-void
-collectClasses(const LexedFile &f, std::vector<ClassRecord> &out)
-{
-    const auto &toks = f.tokens;
-    struct Frame
-    {
-        ClassRecord rec;
-        int openDepth = 0;
-        bool isClass = false;
-    };
-    std::vector<Frame> stack;
-    int depth = 0;
-    bool enumPending = false;
-    // Class frames awaiting their opening brace.
-    std::vector<Frame> pending;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-        const Token &t = toks[i];
-        if (isIdent(t, "enum")) {
-            enumPending = true;
-            continue;
-        }
-        if (isIdent(t, "class") || isIdent(t, "struct")) {
-            if (enumPending) {
-                enumPending = false;
-                continue;
-            }
-            std::size_t j = i + 1;
-            // skip [[attributes]] such as class [[nodiscard]] Foo
-            if (j + 1 < toks.size() && isPunct(toks[j], '[') &&
-                isPunct(toks[j + 1], '[')) {
-                j += 2;
-                while (j < toks.size() && !isPunct(toks[j], ']'))
-                    ++j;
-                while (j < toks.size() && isPunct(toks[j], ']'))
-                    ++j;
-            }
-            if (j >= toks.size() ||
-                toks[j].kind != TokKind::identifier)
-                continue;
-            Frame fr;
-            fr.rec.name = toks[j].text;
-            fr.rec.file = &f;
-            fr.rec.line = toks[j].line;
-            fr.isClass = true;
-            // Find whether a body follows (skip base list).
-            for (std::size_t k = j + 1;
-                 k < toks.size() && k < j + 200; ++k) {
-                if (isPunct(toks[k], ';'))
-                    break; // forward declaration
-                if (isPunct(toks[k], '{')) {
-                    pending.push_back(fr);
-                    break;
-                }
-            }
-            continue;
-        }
-        if (t.kind == TokKind::punct && t.text == "{") {
-            ++depth;
-            if (!pending.empty()) {
-                Frame fr = pending.back();
-                pending.pop_back();
-                fr.openDepth = depth;
-                stack.push_back(std::move(fr));
-            }
-            continue;
-        }
-        if (t.kind == TokKind::punct && t.text == "}") {
-            if (!stack.empty() && stack.back().openDepth == depth) {
-                out.push_back(std::move(stack.back().rec));
-                stack.pop_back();
-            }
-            --depth;
-            continue;
-        }
-        if (t.kind == TokKind::identifier && !stack.empty() &&
-            i + 1 < toks.size() && isPunct(toks[i + 1], '(')) {
-            for (const auto &flavor : serializerFlavors) {
-                if (t.text == flavor.ser)
-                    stack.back().rec.serLines.emplace(flavor.ser,
-                                                      t.line);
-                if (t.text == flavor.deser)
-                    stack.back().rec.desers.insert(flavor.deser);
-            }
-        }
-    }
-    while (!stack.empty()) {
-        out.push_back(std::move(stack.back().rec));
-        stack.pop_back();
-    }
-}
-
-void
-serializeRules(const ScanInput &in, Sink &sink,
-               std::vector<Finding> &registryFindings)
-{
-    std::vector<ClassRecord> classes;
-    std::set<std::string> srcLiterals;
-    for (const auto &f : in.files) {
-        if (f.isTest)
-            continue;
-        collectClasses(f, classes);
-        for (const auto &t : f.tokens)
-            if (t.kind == TokKind::str)
-                srcLiterals.insert(t.text);
-    }
-
-    const auto entries = detail::parseRegistry(in.registryText);
-    std::set<std::string> registered;
-    for (const auto &e : entries)
-        registered.insert(e.className);
-
-    std::set<std::string> serializableNames;
-    for (const auto &rec : classes) {
-        if (rec.serLines.empty())
-            continue;
-        serializableNames.insert(rec.name);
-        for (const auto &flavor : serializerFlavors) {
-            const auto it = rec.serLines.find(flavor.ser);
-            if (it == rec.serLines.end())
-                continue;
-            if (rec.desers.count(flavor.deser) == 0) {
-                sink.add(*rec.file, it->second, "serialize-pair",
-                         "class '" + rec.name + "' declares " +
-                             flavor.ser + "() without " +
-                             flavor.deser +
-                             "(): state would be captured but not "
-                             "restorable");
-            }
-        }
-        if (registered.count(rec.name) == 0) {
-            sink.add(*rec.file, rec.serLines.begin()->second,
-                     "serialize-registry",
-                     "serializable class '" + rec.name +
-                         "' is not registered in "
-                         "tools/ablint/serialized_state.txt; map "
-                         "it to its checkpoint section (or the "
-                         "registered component that serializes "
-                         "it)");
-        }
-    }
-
-    const std::string regPath = "tools/ablint/serialized_state.txt";
-    for (const auto &e : entries) {
-        if (serializableNames.count(e.className) == 0) {
-            registryFindings.push_back(
-                {regPath, e.line, "serialize-registry",
-                 "registry entry '" + e.className +
-                     "' matches no serializable class in src/ "
-                     "(renamed or removed?)"});
-        }
-        if (registered.count(e.cover) == 0 &&
-            srcLiterals.count(e.cover) == 0) {
-            registryFindings.push_back(
-                {regPath, e.line, "serialize-registry",
-                 "cover '" + e.cover + "' of '" + e.className +
-                     "' is neither a registered class nor a "
-                     "checkpoint section string literal in src/"});
-        }
-    }
-}
-
-// ---- post-init-fatal -----------------------------------------------
 
 /**
  * Flag fatal() calls in sim code.  Once a run is in flight, dying
@@ -787,7 +462,7 @@ serializeRules(const ScanInput &in, Sink &sink,
 void
 postInitFatalRule(const LexedFile &f, Sink &sink)
 {
-    if (f.isTest || detail::fatalAllowlisted(f.path))
+    if (f.isTest || fatalAllowlisted(f.path))
         return;
     const auto &toks = f.tokens;
     for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
@@ -842,13 +517,12 @@ const std::vector<std::string> &
 ruleNames()
 {
     static const std::vector<std::string> names = {
-        "wall-clock",     "unordered-iter",     "pointer-key",
-        "static-mutable", "void-discard",       "deser-bound",
-        "serialize-pair", "serialize-registry", "config-key",
+        "wall-clock",     "unordered-iter", "pointer-key",
+        "static-mutable", "void-discard",   "config-key",
         "post-init-fatal", "stale-baseline",
         // absema (semantic) rules, sema_rules.cc:
-        "serialize-coverage", "schema-drift", "fatal-reach",
-        "rng-stream", "layer-cycle", "stale-allow",
+        "serialize-coverage", "schema-drift", "rng-stream",
+        "layer-cycle", "stale-allow",
         // abflow (dataflow) rules, flow_rules.cc:
         "taint-bound", "unit-mix", "status-drop",
     };
@@ -870,7 +544,6 @@ runRules(const ScanInput &in, AllowUse *uses, RuleProfile *profile)
         {"pointer-key", pointerKeyRule},
         {"static-mutable", staticMutableRule},
         {"void-discard", voidDiscardRule},
-        {"deser-bound", deserBoundRule},
         {"post-init-fatal", postInitFatalRule},
     };
     for (const auto &r : fileRules) {
@@ -879,14 +552,8 @@ runRules(const ScanInput &in, AllowUse *uses, RuleProfile *profile)
                 r.fn(f, sink);
         });
     }
-    std::vector<Finding> registryFindings;
-    detail::timeRule(profile, "serialize-pair/registry", [&] {
-        serializeRules(in, sink, registryFindings);
-    });
     detail::timeRule(profile, "config-key",
                      [&] { configKeyRule(in, sink); });
-    findings.insert(findings.end(), registryFindings.begin(),
-                    registryFindings.end());
     std::sort(findings.begin(), findings.end(),
               [](const Finding &a, const Finding &b) {
                   if (a.file != b.file)

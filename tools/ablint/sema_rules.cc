@@ -4,16 +4,17 @@
  * (model.hh) instead of single lines, it proves the cross-declaration
  * invariants ablint's lexical rules cannot see:
  *
- *  - serialize-coverage  every plain-value data member of a class in
- *                        serialized_state.txt is referenced by both
- *                        the serialize and deserialize bodies, and
- *                        the two emit the same wire-op sequence;
+ *  - serialize-coverage  every class that defines a serialize flavor
+ *                        defines its deserialize twin and is
+ *                        registered in serialized_state.txt, every
+ *                        registry entry is live, every plain-value
+ *                        data member of a registered class is
+ *                        referenced by both the serialize and
+ *                        deserialize bodies, and the two emit the
+ *                        same wire-op sequence;
  *  - schema-drift        the committed per-class field digests
  *                        (state_schema.txt) match the code, and field
  *                        changes come with a checkpointVersion bump;
- *  - fatal-reach         no un-excused fatal() is reachable through
- *                        the call graph from the post-init entry
- *                        points Experiment::runApp / Supervisor::runApp;
  *  - rng-stream          explicit Rng seeds trace to
  *                        deriveStreamSeed()/namedStream()/fork();
  *  - layer-cycle         the #include graph respects the src/ layer
@@ -28,7 +29,6 @@
 #include "sink.hh"
 
 #include <algorithm>
-#include <deque>
 #include <functional>
 #include <iomanip>
 #include <sstream>
@@ -44,6 +44,35 @@ using detail::Sink;
 using detail::isIdent;
 using detail::isPunct;
 using detail::lineAllows;
+
+/** One parsed line of serialized_state.txt. */
+struct RegistryEntry
+{
+    std::string className;
+    std::string cover;
+    int line = 0;
+};
+
+std::vector<RegistryEntry>
+parseRegistry(const std::string &text)
+{
+    std::vector<RegistryEntry> entries;
+    std::istringstream in(text);
+    std::string line;
+    int line_no = 0;
+    while (std::getline(in, line)) {
+        ++line_no;
+        const auto hash = line.find('#');
+        if (hash != std::string::npos)
+            line = line.substr(0, hash);
+        std::istringstream fields(line);
+        RegistryEntry e;
+        e.line = line_no;
+        if (fields >> e.className >> e.cover)
+            entries.push_back(std::move(e));
+    }
+    return entries;
+}
 
 std::string
 hex16(std::uint64_t v)
@@ -188,7 +217,7 @@ wireOps(const FunctionDef &fn, bool put)
 
 void
 serializeCoverage(const Model &m,
-                  const std::vector<detail::RegistryEntry> &reg,
+                  const std::vector<RegistryEntry> &reg,
                   Sink &sink)
 {
     for (const auto &entry : reg) {
@@ -277,6 +306,86 @@ serializeCoverage(const Model &m,
     }
 }
 
+constexpr const char *registryPathName =
+    "tools/ablint/serialized_state.txt";
+
+/**
+ * The registry, both ways.  Every src/ class that defines a
+ * serialize flavor defines the matching deserialize flavor and is
+ * registered; every entry names such a class, and its cover is a
+ * registered class or a checkpoint section string literal in src/.
+ * So new state cannot ship without naming the section that captures
+ * it.
+ */
+void
+serializeRegistry(const ScanInput &in, const Model &m,
+                  const std::vector<RegistryEntry> &reg, Sink &sink,
+                  std::vector<Finding> &out)
+{
+    std::set<const ClassInfo *> registered;
+    std::set<std::string> registeredNames;
+    for (const auto &entry : reg) {
+        registered.insert(m.findClass(entry.className));
+        registeredNames.insert(entry.className);
+    }
+    std::set<const ClassInfo *> serializable;
+    for (const ClassInfo &cls : m.classes) {
+        if (cls.file->isTest)
+            continue;
+        for (const Flavor &fl : flavors) {
+            const FunctionDef *put = classFn(m, cls, fl.put);
+            if (put == nullptr)
+                continue;
+            serializable.insert(&cls);
+            if (classFn(m, cls, fl.get) == nullptr) {
+                sink.add(*put->file, put->line, "serialize-coverage",
+                         "'" + cls.qualName + "' defines " + fl.put +
+                             "() without " + fl.get +
+                             "(): state would be captured but not "
+                             "restorable");
+            }
+        }
+        if (serializable.count(&cls) > 0 &&
+            registered.count(&cls) == 0) {
+            sink.add(*cls.file, cls.line, "serialize-coverage",
+                     "serializable class '" + cls.qualName +
+                         "' is not registered in " +
+                         registryPathName +
+                         "; map it to its checkpoint section (or "
+                         "the registered component that serializes "
+                         "it)");
+        }
+    }
+
+    std::set<std::string> literals;
+    for (const LexedFile &f : in.files) {
+        if (f.isTest)
+            continue;
+        for (const Token &t : f.tokens)
+            if (t.kind == TokKind::str)
+                literals.insert(t.text);
+    }
+    for (const auto &entry : reg) {
+        if (serializable.count(m.findClass(entry.className)) == 0) {
+            out.push_back({registryPathName, entry.line,
+                           "serialize-coverage",
+                           "registry entry '" + entry.className +
+                               "' matches no serializable class in "
+                               "src/ (renamed or removed?)"});
+        }
+        if (registeredNames.count(entry.cover) == 0 &&
+            literals.count(entry.cover) == 0) {
+            out.push_back({registryPathName, entry.line,
+                           "serialize-coverage",
+                           "cover '" + entry.cover + "' of '" +
+                               entry.className +
+                               "' is neither a registered class nor "
+                               "a checkpoint section string literal "
+                               "in src/"});
+        }
+    }
+}
+
 /* ------------------------------------------------------------------ */
 /* schema-drift                                                        */
 /* ------------------------------------------------------------------ */
@@ -349,7 +458,7 @@ classDigest(const ClassInfo &cls)
 /** Digests of every registry class the model can see. */
 std::map<std::string, std::pair<std::uint64_t, const ClassInfo *>>
 computeDigests(const Model &m,
-               const std::vector<detail::RegistryEntry> &reg)
+               const std::vector<RegistryEntry> &reg)
 {
     std::map<std::string, std::pair<std::uint64_t, const ClassInfo *>>
         out;
@@ -383,7 +492,7 @@ findCheckpointVersion(const ScanInput &in)
 
 void
 schemaDrift(const ScanInput &in, const Model &m,
-            const std::vector<detail::RegistryEntry> &reg,
+            const std::vector<RegistryEntry> &reg,
             Sink &sink, std::vector<Finding> &out)
 {
     const auto digests = computeDigests(m, reg);
@@ -435,86 +544,6 @@ schemaDrift(const ScanInput &in, const Model &m,
                  "stale manifest entry '" + name +
                      "' (class gone or unregistered); run `ablint "
                      "--write-schema`"});
-        }
-    }
-}
-
-/* ------------------------------------------------------------------ */
-/* fatal-reach                                                         */
-/* ------------------------------------------------------------------ */
-
-void
-fatalReach(const Model &m, Sink &sink)
-{
-    static const char *const entryPoints[] = {
-        "Experiment::runApp",
-        "Supervisor::runApp",
-    };
-    std::deque<std::size_t> queue;
-    std::vector<std::size_t> parent(m.functions.size(),
-                                    static_cast<std::size_t>(-1));
-    std::vector<char> visited(m.functions.size(), 0);
-    for (std::size_t i = 0; i < m.functions.size(); ++i) {
-        for (const char *entry : entryPoints) {
-            if (m.functions[i].qualName == entry) {
-                visited[i] = 1;
-                queue.push_back(i);
-            }
-        }
-    }
-    if (queue.empty())
-        return;
-    while (!queue.empty()) {
-        const std::size_t at = queue.front();
-        queue.pop_front();
-        for (const std::string &callee : m.functions[at].calls) {
-            const auto it = m.functionsByName.find(callee);
-            if (it == m.functionsByName.end())
-                continue;
-            for (const std::size_t next : it->second) {
-                if (visited[next] ||
-                    m.functions[next].file->isTest)
-                    continue;
-                visited[next] = 1;
-                parent[next] = at;
-                queue.push_back(next);
-            }
-        }
-    }
-    for (std::size_t i = 0; i < m.functions.size(); ++i) {
-        if (!visited[i])
-            continue;
-        const FunctionDef &fn = m.functions[i];
-        if (fn.file->isTest ||
-            detail::fatalAllowlisted(fn.file->path))
-            continue;
-        const auto &toks = fn.file->tokens;
-        for (std::size_t t = fn.bodyBegin;
-             t + 1 < fn.bodyEnd && t + 1 < toks.size(); ++t) {
-            if (!isIdent(toks[t], "fatal") ||
-                !isPunct(toks[t + 1], '('))
-                continue;
-            // A site already justified for the direct-call rule
-            // (post-init-fatal) is justified for reachability too.
-            if (lineAllows(*fn.file, toks[t].line,
-                           "post-init-fatal"))
-                continue;
-            std::vector<std::string> chain;
-            for (std::size_t c = i;
-                 c != static_cast<std::size_t>(-1); c = parent[c])
-                chain.push_back(m.functions[c].qualName);
-            std::string path;
-            for (auto it = chain.rbegin(); it != chain.rend();
-                 ++it) {
-                if (!path.empty())
-                    path += " -> ";
-                path += *it;
-            }
-            sink.add(*fn.file, toks[t].line, "fatal-reach",
-                     "fatal() is reachable from a post-init entry "
-                     "point (" + path + "); return a Status / rely "
-                     "on checkpoint rollback instead, or justify "
-                     "with an inline allow");
         }
     }
 }
@@ -760,13 +789,13 @@ runSemaRules(const ScanInput &in, AllowUse *uses,
     Model m;
     detail::timeRule(profile, "sema-model-build",
                      [&] { m = buildModel(in.files); });
-    const auto reg = detail::parseRegistry(in.registryText);
-    detail::timeRule(profile, "serialize-coverage",
-                     [&] { serializeCoverage(m, reg, sink); });
+    const auto reg = parseRegistry(in.registryText);
+    detail::timeRule(profile, "serialize-coverage", [&] {
+        serializeRegistry(in, m, reg, sink, out);
+        serializeCoverage(m, reg, sink);
+    });
     detail::timeRule(profile, "schema-drift",
                      [&] { schemaDrift(in, m, reg, sink, out); });
-    detail::timeRule(profile, "fatal-reach",
-                     [&] { fatalReach(m, sink); });
     detail::timeRule(profile, "rng-stream",
                      [&] { rngStream(in, sink); });
     detail::timeRule(profile, "layer-cycle",
@@ -825,22 +854,6 @@ runAllRules(const ScanInput &in, RuleProfile *profile)
     const auto sema = runSemaRules(in, &uses, profile);
     out.insert(out.end(), sema.begin(), sema.end());
     const auto flow = runFlowRules(in, &uses, profile);
-    // taint-bound supersedes the one-file lexical deser-bound: when
-    // both fire on the same file:line, keep the interprocedural
-    // finding (it names the source *and* the sink) and drop the
-    // lexical duplicate.
-    std::set<std::pair<std::string, int>> taintLines;
-    for (const Finding &f : flow) {
-        if (f.rule == "taint-bound")
-            taintLines.insert({f.file, f.line});
-    }
-    out.erase(std::remove_if(
-                  out.begin(), out.end(),
-                  [&](const Finding &f) {
-                      return f.rule == "deser-bound" &&
-                             taintLines.count({f.file, f.line}) > 0;
-                  }),
-              out.end());
     out.insert(out.end(), flow.begin(), flow.end());
     const auto stale = staleAllowFindings(in, uses);
     out.insert(out.end(), stale.begin(), stale.end());
@@ -858,7 +871,7 @@ std::string
 renderSchemaManifest(const ScanInput &in)
 {
     const Model m = buildModel(in.files);
-    const auto reg = detail::parseRegistry(in.registryText);
+    const auto reg = parseRegistry(in.registryText);
     const auto digests = computeDigests(m, reg);
     const long long version = findCheckpointVersion(in);
     std::ostringstream out;
@@ -887,7 +900,7 @@ schemaRegenBlocked(const ScanInput &in)
         man.version != static_cast<std::uint64_t>(version))
         return ""; // version was bumped: regen is the point
     const Model m = buildModel(in.files);
-    const auto reg = detail::parseRegistry(in.registryText);
+    const auto reg = parseRegistry(in.registryText);
     const auto digests = computeDigests(m, reg);
     std::string changed;
     for (const auto &[name, entry] : digests) {

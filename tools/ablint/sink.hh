@@ -1,9 +1,9 @@
 /**
  * @file
  * Internals shared by the lexical rule pass (rules.cc) and the
- * semantic pass (sema_rules.cc): token predicates, the inline-allow
- * aware finding sink, the serialized_state.txt parser, and the
- * fatal() allowlist.  Not part of the public ablint API.
+ * semantic and dataflow passes (sema_rules.cc, flow_rules.cc): token
+ * predicates, the inline-allow aware finding sink, and rule timing.
+ * Not part of the public ablint API.
  */
 
 #ifndef BIGLITTLE_TOOLS_ABLINT_SINK_HH
@@ -12,7 +12,6 @@
 #include "ablint.hh"
 
 #include <chrono>
-#include <sstream>
 #include <utility>
 
 namespace biglittle::ablint::detail
@@ -80,59 +79,6 @@ struct Sink
             {f.path, line, std::move(rule), std::move(message)});
     }
 };
-
-/** One parsed line of serialized_state.txt. */
-struct RegistryEntry
-{
-    std::string className;
-    std::string cover;
-    int line = 0;
-};
-
-inline std::vector<RegistryEntry>
-parseRegistry(const std::string &text)
-{
-    std::vector<RegistryEntry> entries;
-    std::istringstream in(text);
-    std::string line;
-    int line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        std::istringstream fields(line);
-        RegistryEntry e;
-        e.line = line_no;
-        if (fields >> e.className >> e.cover)
-            entries.push_back(std::move(e));
-    }
-    return entries;
-}
-
-/**
- * Files whose fatal() calls are their documented contract: the
- * logging module defines it, and the by-name lookup helpers
- * (apps/spec/app_model) promise fatal() on an unknown name in their
- * headers - all pre-run, user-asked-for-the-impossible paths.
- * Shared by post-init-fatal (direct calls) and fatal-reach
- * (transitive reachability).
- */
-inline bool
-fatalAllowlisted(const std::string &path)
-{
-    static const char *const prefixes[] = {
-        "base/logging.",
-        "workload/apps.",
-        "workload/spec.",
-        "workload/app_model.",
-    };
-    for (const char *p : prefixes) {
-        if (path.find(p) != std::string::npos)
-            return true;
-    }
-    return false;
-}
 
 } // namespace biglittle::ablint::detail
 

@@ -227,6 +227,23 @@ main(int argc, char **argv)
                  "(hotplug+thermal+stall+crash+invariant)");
     args.parse(argc, argv);
 
+    // Check the numbers before the report dir is made or a cell
+    // forks: a negative count would wrap to a huge unsigned value
+    // (--seeds -1 asks for 2^64-1 cells), and the watchdog needs a
+    // positive stall limit.
+    for (const char *name : {"seeds", "retries", "alarm-sec",
+                             "checkpoint-every-ms",
+                             "persistent-crash-at-ms"}) {
+        if (args.getInt(name) < 0) {
+            std::fprintf(stderr, "abrun: --%s must be >= 0\n", name);
+            return exitUsage;
+        }
+    }
+    if (!(args.getDouble("watchdog-sec") > 0.0)) {
+        std::fprintf(stderr, "abrun: --watchdog-sec must be > 0\n");
+        return exitUsage;
+    }
+
     SweepOptions opt;
     const std::string apps = args.getString("apps");
     if (apps == "all") {
