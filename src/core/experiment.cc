@@ -295,11 +295,6 @@ AppRunResult
 Experiment::runApp(const AppSpec &app)
 {
     const SnapshotParams &snap = cfg.snapshot;
-    if (!snap.recordTracePath.empty() && !snap.replayTracePath.empty()) {
-        // Contradictory config, caught before the run starts.
-        // ablint:allow(post-init-fatal): pre-run validation
-        fatal("cannot record and replay-compare a trace in one run");
-    }
 
     AppSpec run_app = app;
     if (cfg.masterSeed != 0) {
@@ -369,24 +364,11 @@ Experiment::runApp(const AppSpec &app)
         }
     }
 
+    // Record and replay both record the run; replay compares the
+    // recording with its reference once the run ends.
     EventTraceRecorder recorder;
-    std::unique_ptr<EventTraceComparer> comparer;
-    if (!snap.recordTracePath.empty()) {
+    if (!snap.recordTracePath.empty() || !snap.replayTracePath.empty())
         recorder.attach(rig.sim.eventQueue());
-    } else if (!snap.replayTracePath.empty()) {
-        Result<EventTrace> reference =
-            EventTrace::readFile(snap.replayTracePath);
-        if (!reference.ok()) {
-            // Run without the comparison rather than dying on a
-            // damaged reference; the warning keeps it auditable.
-            warn("replay: %s; running without trace comparison",
-                 reference.status().toString().c_str());
-        } else {
-            comparer = std::make_unique<EventTraceComparer>(
-                std::move(reference.value()));
-            comparer->attach(rig.sim.eventQueue());
-        }
-    }
 
     Watchdog watchdog(cfg.watchdog);
     if (cfg.recovery.supervised) {
@@ -600,20 +582,28 @@ Experiment::runApp(const AppSpec &app)
                  app.name.c_str(), result.raceReport.c_str());
         }
     }
-    if (comparer != nullptr) {
-        comparer->detach();
-        comparer->finish();
-        if (comparer->diverged()) {
+    recorder.detach();
+    if (!snap.replayTracePath.empty()) {
+        // Read the reference before the recording is written, so
+        // one path can serve as both.
+        const Result<EventTrace> reference =
+            EventTrace::readFile(snap.replayTracePath);
+        if (!reference.ok()) {
+            // Skip the comparison rather than dying on a damaged
+            // reference; the warning keeps it auditable.
+            warn("replay: %s; skipping trace comparison",
+                 reference.status().toString().c_str());
+        } else if (const std::optional<Divergence> divergence =
+                       compareTraces(reference.value(),
+                                     recorder.trace())) {
             result.traceDiverged = true;
-            result.divergenceReport =
-                comparer->divergence()->describe();
+            result.divergenceReport = divergence->describe();
             warn("replay diverged from '%s':\n%s",
                  snap.replayTracePath.c_str(),
                  result.divergenceReport.c_str());
         }
     }
     if (!snap.recordTracePath.empty()) {
-        recorder.detach();
         const Status written =
             recorder.trace().writeFile(snap.recordTracePath);
         if (!written.ok())

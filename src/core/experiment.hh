@@ -75,8 +75,10 @@ struct SnapshotParams
 
     /**
      * Compare this run's serviced events against a recorded trace
-     * and report the first diverging event.  Mutually exclusive
-     * with recordTracePath (both use the queue's one service hook).
+     * and report the first diverging event.  The run is recorded
+     * and compared once it ends, so this combines with
+     * recordTracePath (even the same path: the reference is read
+     * before the new trace is written).
      */
     std::string replayTracePath;
 };

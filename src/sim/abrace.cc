@@ -176,17 +176,18 @@ RaceDetector::describe(const Provenance &p) const
 }
 
 std::uint32_t
-RaceDetector::intern(const std::string &name, std::uint32_t hint)
+RaceDetector::intern(std::string_view name, std::uint32_t hint)
 {
     // A periodic or self-rescheduling event was scheduled by an event
     // of its own name, so the scheduler's index usually matches.
     if (hint < names.size() && names[hint] == name)
         return hint;
-    const auto [it, inserted] = nameIndex.try_emplace(
-        name, static_cast<std::uint32_t>(names.size()));
-    if (inserted)
-        names.push_back(name);
-    return it->second;
+    if (const auto it = nameIndex.find(name); it != nameIndex.end())
+        return it->second;
+    const auto index = static_cast<std::uint32_t>(names.size());
+    names.emplace_back(name);
+    nameIndex.emplace(names.back(), index);
+    return index;
 }
 
 RaceDetector::Pending *

@@ -226,7 +226,7 @@ class RaceDetector
               bool write);
     Pending *findPending(std::uint64_t sequence);
     void dropPending(Pending &entry);
-    std::uint32_t intern(const std::string &name, std::uint32_t hint);
+    std::uint32_t intern(std::string_view name, std::uint32_t hint);
     std::string describe(const Provenance &p) const;
     void analyzeBatch();
     bool isAncestor(std::uint64_t ancestorSeq,

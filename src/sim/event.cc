@@ -6,8 +6,8 @@
 namespace biglittle
 {
 
-Event::Event(EventPriority prio_in)
-    : prio(prio_in)
+Event::Event(EventPriority prio_in, std::string name_in)
+    : prio(prio_in), eventName(std::move(name_in))
 {
 }
 
@@ -19,7 +19,7 @@ Event::~Event()
 
 CallbackEvent::CallbackEvent(std::function<void()> fn_in,
                              EventPriority prio_in, std::string label_in)
-    : Event(prio_in), fn(std::move(fn_in)), label(std::move(label_in))
+    : Event(prio_in, std::move(label_in)), fn(std::move(fn_in))
 {
     BL_ASSERT(fn != nullptr);
 }

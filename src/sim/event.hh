@@ -97,8 +97,13 @@ offsetPriority(EventPriority base, std::size_t slot, std::size_t width)
 class Event
 {
   public:
-    /** @param prio same-tick ordering class for this event. */
-    explicit Event(EventPriority prio = EventPriority::deferred);
+    /**
+     * @param prio same-tick ordering class for this event.
+     * @param name diagnostic name, as traces, the checkpoint digest
+     *        of pending events and abrace reports show it.
+     */
+    explicit Event(EventPriority prio = EventPriority::deferred,
+                   std::string name = "event");
 
     virtual ~Event();
 
@@ -117,7 +122,7 @@ class Event
     virtual void orphaned() {}
 
     /** Diagnostic name used in trace output. */
-    virtual std::string name() const { return "event"; }
+    const std::string &name() const { return eventName; }
 
     /** True while the event sits in a queue. */
     bool scheduled() const { return queue != nullptr; }
@@ -144,6 +149,7 @@ class Event
     Tick whenTick = 0;
     std::uint64_t sequence = 0;
     EventQueue *queue = nullptr;
+    std::string eventName;
 };
 
 /**
@@ -158,11 +164,9 @@ class CallbackEvent : public Event
                   std::string label = "callback");
 
     void process() override;
-    std::string name() const override { return label; }
 
   private:
     std::function<void()> fn;
-    std::string label;
 };
 
 } // namespace biglittle

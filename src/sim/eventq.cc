@@ -103,15 +103,10 @@ EventQueue::serviceOne()
     BL_ASSERT(event->whenTick >= curTick);
     curTick = event->whenTick;
     ++serviced;
-    if (serviceHook || recentCap > 0 || race) {
-        ServicedEvent info{event->whenTick,
-                           static_cast<std::int32_t>(event->prio),
-                           event->sequence, event->name()};
-        if (recentCap > 0) {
-            if (recent.size() >= recentCap)
-                recent.pop_front();
-            recent.push_back(info);
-        }
+    if (serviceHook || race) {
+        const ServicedEvent info{event->whenTick,
+                                 static_cast<std::int32_t>(event->prio),
+                                 event->sequence, event->name()};
         if (serviceHook)
             serviceHook(info);
         if (race) {
@@ -142,14 +137,6 @@ void
 EventQueue::setServiceHook(ServiceHook hook)
 {
     serviceHook = std::move(hook);
-}
-
-void
-EventQueue::enableRecentLog(std::size_t n)
-{
-    recentCap = n;
-    while (recent.size() > recentCap)
-        recent.pop_front();
 }
 
 void

@@ -10,10 +10,9 @@
 #define BIGLITTLE_SIM_EVENTQ_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <set>
-#include <string>
+#include <string_view>
 
 #include "base/random.hh"
 #include "base/types.hh"
@@ -40,13 +39,17 @@ enum class TieBreak
     shuffle, ///< seeded-random order within each batch
 };
 
-/** A serviced event as seen by hooks and the recent-event log. */
+/**
+ * A serviced event as the service hook and the race detector see it.
+ * It copies nothing: `name` views the event's own name and is valid
+ * only during the callback, so copy it out to keep it.
+ */
 struct ServicedEvent
 {
     Tick when = 0;
     std::int32_t priority = 0;
     std::uint64_t sequence = 0;
-    std::string name;
+    std::string_view name;
 };
 
 /** Deterministic priority queue of events. */
@@ -117,22 +120,29 @@ class EventQueue
     std::uint64_t nextSequenceValue() const { return nextSequence; }
 
     /**
-     * Install (or clear, with nullptr) the single service hook used
-     * by trace recording and replay comparison.  The hook fires for
+     * Install (or clear, with nullptr) the single service hook.  The
+     * event-trace recorder uses it for both trace record and replay,
+     * and perfbench uses it to time event bands.  The hook fires for
      * every serviced event with its (when, priority, sequence, name)
-     * identity, before process() runs.
+     * identity, before process() runs; see ServicedEvent for how
+     * long the name stays valid.
      */
     void setServiceHook(ServiceHook hook);
 
     /**
-     * Keep a ring buffer of the identities of the last @p n serviced
-     * events (0 disables).  The watchdog dumps this ring when a run
-     * stalls, so the report shows what the simulation was doing.
+     * Call @p visit on each of the first @p n pending events, as a
+     * `const Event &`, in (when, priority, sequence) order - the
+     * order the fifo tie-break fires them in.  Changes nothing; the
+     * watchdog uses it to show what a stalled run was about to do.
      */
-    void enableRecentLog(std::size_t n);
-
-    /** The recent-event ring, oldest first. */
-    const std::deque<ServicedEvent> &recentLog() const { return recent; }
+    template <typename Visit>
+    void
+    visitHead(std::size_t n, Visit &&visit) const
+    {
+        for (auto it = queue.begin(); n > 0 && it != queue.end();
+             ++it, --n)
+            visit(static_cast<const Event &>(**it));
+    }
 
     /**
      * Select the same-(when, priority) tie-break order (see TieBreak).
@@ -195,8 +205,6 @@ class EventQueue
     std::uint64_t serviced = 0;
 
     ServiceHook serviceHook;
-    std::deque<ServicedEvent> recent;
-    std::size_t recentCap = 0;
 
     TieBreak tieMode = TieBreak::fifo;
     // ablint:allow(rng-stream): fixed tie-break stream, part of the event-order contract

@@ -11,8 +11,8 @@ namespace biglittle
 PeriodicTask::PeriodicTask(EventQueue &queue_in, Tick period_in,
                            Callback cb, EventPriority prio,
                            std::string label_in)
-    : Event(prio), eq(queue_in), periodTicks(period_in),
-      callback(std::move(cb)), label(std::move(label_in))
+    : Event(prio, std::move(label_in)), eq(queue_in),
+      periodTicks(period_in), callback(std::move(cb))
 {
     BL_ASSERT(periodTicks > 0);
     BL_ASSERT(callback != nullptr);
@@ -59,7 +59,7 @@ PeriodicTask::process()
 
 Simulation::OneShot::OneShot(std::function<void()> fn_in,
                              EventPriority prio, std::string label_in)
-    : Event(prio), fn(std::move(fn_in)), label(std::move(label_in))
+    : Event(prio, std::move(label_in)), fn(std::move(fn_in))
 {
 }
 

@@ -47,13 +47,11 @@ class PeriodicTask : public Event
     Tick period() const { return periodTicks; }
 
     void process() override;
-    std::string name() const override { return label; }
 
   private:
     EventQueue &eq;
     Tick periodTicks;
     Callback callback;
-    std::string label;
 };
 
 /**
@@ -122,11 +120,9 @@ class Simulation
                 std::string label);
         void process() override;
         void orphaned() override { delete this; }
-        std::string name() const override { return label; }
 
       private:
         std::function<void()> fn;
-        std::string label;
     };
 
     EventQueue queue;

@@ -46,11 +46,13 @@ namespace biglittle
  * version guards every section payload layout, not just the container
  * framing: bump it whenever any component's serialize() bytes change
  * (v2: FaultInjector gained the crash/invariant-break/suppressed
- * counters), so an old-build checkpoint is rejected up front instead
- * of under-reading a section into garbage.
+ * counters; v3: EventQueue dropped its recent-event ring, which
+ * changed its field schema but no byte), so an old-build checkpoint
+ * is rejected up front instead of under-reading a section into
+ * garbage.
  */
 constexpr std::uint32_t checkpointMagic = 0x424C434BU;
-constexpr std::uint32_t checkpointVersion = 2;
+constexpr std::uint32_t checkpointVersion = 3;
 
 /** One component's serialized state. */
 struct CheckpointSection

@@ -22,20 +22,15 @@ TraceRecord::payloadHash() const
     return s.digest();
 }
 
-namespace
-{
-
 std::string
-describeRecord(const TraceRecord &r)
+TraceRecord::describe() const
 {
     return format("t=%llu seq=%llu prio=%d '%s' (hash %016llx)",
-                  static_cast<unsigned long long>(r.when),
-                  static_cast<unsigned long long>(r.sequence),
-                  static_cast<int>(r.priority), r.name.c_str(),
-                  static_cast<unsigned long long>(r.payloadHash()));
+                  static_cast<unsigned long long>(when),
+                  static_cast<unsigned long long>(sequence),
+                  static_cast<int>(priority), name.c_str(),
+                  static_cast<unsigned long long>(payloadHash()));
 }
-
-} // namespace
 
 std::string
 Divergence::describe() const
@@ -43,10 +38,10 @@ Divergence::describe() const
     std::string out =
         format("first divergence at event #%zu:\n", index);
     out += "  expected: ";
-    out += expected ? describeRecord(*expected)
+    out += expected ? expected->describe()
                     : "(no more events in reference trace)";
     out += "\n  actual:   ";
-    out += actual ? describeRecord(*actual)
+    out += actual ? actual->describe()
                   : "(run ended before this event)";
     return out;
 }
@@ -154,7 +149,7 @@ EventTraceRecorder::attach(EventQueue &queue)
     queuePtr = &queue;
     queue.setServiceHook([this](const ServicedEvent &ev) {
         recorded.records.push_back(
-            {ev.when, ev.priority, ev.sequence, ev.name});
+            {ev.when, ev.priority, ev.sequence, std::string(ev.name)});
     });
 }
 
@@ -164,64 +159,6 @@ EventTraceRecorder::detach()
     if (queuePtr != nullptr) {
         queuePtr->setServiceHook(nullptr);
         queuePtr = nullptr;
-    }
-}
-
-EventTraceComparer::EventTraceComparer(EventTrace reference_in)
-    : reference(std::move(reference_in))
-{
-}
-
-EventTraceComparer::~EventTraceComparer()
-{
-    detach();
-}
-
-void
-EventTraceComparer::attach(EventQueue &queue)
-{
-    BL_ASSERT(queuePtr == nullptr);
-    queuePtr = &queue;
-    queue.setServiceHook(
-        [this](const ServicedEvent &ev) { check(ev); });
-}
-
-void
-EventTraceComparer::detach()
-{
-    if (queuePtr != nullptr) {
-        queuePtr->setServiceHook(nullptr);
-        queuePtr = nullptr;
-    }
-}
-
-void
-EventTraceComparer::check(const ServicedEvent &ev)
-{
-    if (firstDivergence)
-        return; // everything after the first mismatch is fallout
-    const TraceRecord actual{ev.when, ev.priority, ev.sequence,
-                             ev.name};
-    if (nextIndex >= reference.records.size()) {
-        firstDivergence = Divergence{nextIndex, std::nullopt, actual};
-        return;
-    }
-    const TraceRecord &expected = reference.records[nextIndex];
-    if (!(expected == actual)) {
-        firstDivergence = Divergence{nextIndex, expected, actual};
-        return;
-    }
-    ++nextIndex;
-}
-
-void
-EventTraceComparer::finish()
-{
-    if (firstDivergence)
-        return;
-    if (nextIndex < reference.records.size()) {
-        firstDivergence = Divergence{
-            nextIndex, reference.records[nextIndex], std::nullopt};
     }
 }
 

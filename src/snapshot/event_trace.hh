@@ -9,9 +9,9 @@
  * useful fact when hunting nondeterminism, because everything before
  * that event is known-identical and everything after it is fallout.
  *
- * The recorder taps EventQueue::setServiceHook; the comparer can run
- * online (checking each serviced event as it fires, stopping the
- * search at the first mismatch) or offline over two recorded traces.
+ * The recorder taps EventQueue::setServiceHook.  Record and replay
+ * both use it: replay records the run too, and once the run ends
+ * compareTraces() finds the first event where it left the reference.
  */
 
 #ifndef BIGLITTLE_SNAPSHOT_EVENT_TRACE_HH
@@ -39,6 +39,9 @@ struct TraceRecord
 
     /** FNV-1a fingerprint of the whole record. */
     std::uint64_t payloadHash() const;
+
+    /** One line: tick, sequence, priority, name and payload hash. */
+    std::string describe() const;
 
     bool
     operator==(const TraceRecord &other) const
@@ -111,52 +114,7 @@ class EventTraceRecorder
     EventTrace recorded;
 };
 
-/**
- * Checks a live run against a reference trace, event by event, and
- * latches the first divergence.  After the first mismatch checking
- * stops (everything later is fallout); the run itself continues.
- */
-class EventTraceComparer
-{
-  public:
-    explicit EventTraceComparer(EventTrace reference);
-    ~EventTraceComparer();
-
-    EventTraceComparer(const EventTraceComparer &) = delete;
-    EventTraceComparer &operator=(const EventTraceComparer &) = delete;
-
-    /** Start checking serviced events of @p queue. */
-    void attach(EventQueue &queue);
-
-    /** Stop checking and release the queue's hook. */
-    void detach();
-
-    /**
-     * Declare the run over: a clean run must have consumed the whole
-     * reference trace, so leftover expected events become a
-     * divergence too.
-     */
-    void finish();
-
-    bool diverged() const { return firstDivergence.has_value(); }
-    const std::optional<Divergence> &divergence() const
-    {
-        return firstDivergence;
-    }
-
-    /** Events checked (and matched) so far. */
-    std::size_t matched() const { return nextIndex; }
-
-  private:
-    EventTrace reference;
-    EventQueue *queuePtr = nullptr;
-    std::size_t nextIndex = 0;
-    std::optional<Divergence> firstDivergence;
-
-    void check(const ServicedEvent &ev);
-};
-
-/** Offline comparison of two recorded traces. */
+/** Where @p actual first leaves @p expected (nullopt: identical). */
 [[nodiscard]] std::optional<Divergence>
 compareTraces(const EventTrace &expected, const EventTrace &actual);
 

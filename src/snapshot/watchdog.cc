@@ -43,7 +43,6 @@ Watchdog::start(EventQueue &queue)
     if (!wp.enabled || running.load())
         return;
     queuePtr = &queue;
-    queue.enableRecentLog(wp.ringDepth);
     servicedSeen.store(queue.eventsServiced());
     lastTick.store(queue.now());
     running.store(true);
@@ -69,18 +68,20 @@ Watchdog::heartbeat()
     servicedSeen.store(queuePtr->eventsServiced());
     lastTick.store(queuePtr->now());
 
-    // Snapshot the ring buffer as text while it is safe to read it
-    // (we are on the simulation thread); the watchdog thread only
-    // ever sees this string.
-    std::string dump;
-    for (const ServicedEvent &ev : queuePtr->recentLog()) {
-        dump += format("  t=%llu seq=%llu prio=%d '%s'\n",
-                       static_cast<unsigned long long>(ev.when),
-                       static_cast<unsigned long long>(ev.sequence),
-                       static_cast<int>(ev.priority), ev.name.c_str());
-    }
+    // Copy the pending head while it is safe to read the queue (we
+    // are on the simulation thread); the watchdog thread only ever
+    // sees these copies, and only trip() formats them.
     std::lock_guard<std::mutex> lock(snapMutex);
-    ringDump = std::move(dump);
+    headCount = 0;
+    queuePtr->visitHead(wp.ringDepth, [this](const Event &e) {
+        if (headCount == head.size())
+            head.emplace_back();
+        TraceRecord &r = head[headCount++];
+        r.when = e.when();
+        r.priority = static_cast<std::int32_t>(e.priority());
+        r.sequence = e.sequenceNumber();
+        r.name = e.name();
+    });
 }
 
 void
@@ -126,11 +127,12 @@ Watchdog::run()
 void
 Watchdog::trip(const std::string &reason)
 {
-    std::string ring;
+    std::string pending;
     std::vector<std::uint8_t> ckpt;
     {
         std::lock_guard<std::mutex> lock(snapMutex);
-        ring = ringDump;
+        for (std::size_t i = 0; i < headCount; ++i)
+            pending += "  " + head[i].describe() + "\n";
         ckpt = checkpointBytes;
     }
 
@@ -142,9 +144,10 @@ Watchdog::trip(const std::string &reason)
     if (!ckpt.empty() && !wp.reportPath.empty()) {
         report += "last checkpoint: " + wp.reportPath + ".ckpt\n";
     }
-    report += ring.empty()
-        ? "no recent events captured\n"
-        : "last events before the stall (oldest first):\n" + ring;
+    report += pending.empty()
+        ? "no pending events captured\n"
+        : "pending events at the last heartbeat (firing order):\n" +
+            pending;
 
     std::fprintf(stderr, "%s", report.c_str());
     if (!wp.reportPath.empty()) {

@@ -11,19 +11,20 @@
  * non-zero exit.
  *
  * The simulation thread calls heartbeat() between event slices; each
- * heartbeat snapshots the progress counters and the queue's recent-
- * event ring buffer (and, optionally, freshly encoded checkpoint
- * bytes) under a mutex.  A background thread wakes a few times a
- * second and trips when
+ * heartbeat snapshots the progress counters and the first ringDepth
+ * pending events (and, optionally, freshly encoded checkpoint bytes)
+ * under a mutex.  Heartbeats run at chunk boundaries, so the pending
+ * head begins with exactly the events a stalled chunk was running.
+ * A background thread wakes a few times a second and trips when
  *
  *  - no serviced-event progress for stallLimit wall seconds, or
  *  - total wall time exceeds runawayLimit seconds.
  *
  * On trip it writes a report file (reason, last tick, serviced
- * count, the last-N-events dump), writes the last checkpoint bytes
- * next to it, and _Exit()s with watchdogExitCode - deliberately not
- * a clean shutdown, because the simulation thread is wedged and
- * cannot be joined.
+ * count, the pending events in firing order, formatted only now),
+ * writes the last checkpoint bytes next to it, and _Exit()s with
+ * watchdogExitCode - deliberately not a clean shutdown, because the
+ * simulation thread is wedged and cannot be joined.
  */
 
 #ifndef BIGLITTLE_SNAPSHOT_WATCHDOG_HH
@@ -37,6 +38,7 @@
 #include <vector>
 
 #include "base/types.hh"
+#include "snapshot/event_trace.hh"
 
 namespace biglittle
 {
@@ -60,7 +62,7 @@ struct WatchdogParams
     /** Where the trip report is written ("" = stderr only). */
     std::string reportPath;
 
-    /** Ring-buffer depth mirrored into the report. */
+    /** Pending events listed in the report. */
     std::size_t ringDepth = 64;
 };
 
@@ -86,8 +88,9 @@ class Watchdog
 
     /**
      * Progress report from the simulation thread.  Cheap when called
-     * every few simulated milliseconds.  Also snapshots the ring
-     * buffer so a later trip can dump it without touching the queue.
+     * every few simulated milliseconds.  Also copies the next pending
+     * events so a later trip can list them without touching the
+     * queue.
      */
     void heartbeat();
 
@@ -120,8 +123,12 @@ class Watchdog
     bool exitOnTrip = true;
 
     std::mutex snapMutex;
-    std::string ringDump; ///< guarded by snapMutex
-    std::vector<std::uint8_t> checkpointBytes; ///< guarded by snapMutex
+    /** The first headCount entries are the pending events at the
+     *  last heartbeat; later entries keep their buffers for reuse.
+     *  Guarded by snapMutex, like checkpointBytes. */
+    std::vector<TraceRecord> head;
+    std::size_t headCount = 0;
+    std::vector<std::uint8_t> checkpointBytes;
 
     void run();
     void trip(const std::string &reason);

@@ -95,22 +95,24 @@ TEST(FuzzCorpus, TraceVerdictsMatchFilenames)
 
 TEST(FuzzCorpus, InflatedCountsFailTheBoundNotTheChecksum)
 {
-    // The count-inflated artifacts carry a *valid* checksum: they
-    // must be rejected by getCount()'s bound check, proving the
-    // defense sits deeper than the integrity gate.
+    // The count-inflated artifacts carry a *valid* checksum and the
+    // current version: they must be rejected by getCount()'s bound
+    // check, proving the defense sits deeper than the integrity gate.
+    // A stale version would get them rejected before the count is
+    // ever read.
+    const auto expectBoundFailure = [](const Status &status) {
+        ASSERT_FALSE(status.ok());
+        EXPECT_EQ(status.message().find("checksum"), std::string::npos)
+            << status.message();
+        EXPECT_EQ(status.message().find("version"), std::string::npos)
+            << status.message();
+    };
     const Result<Checkpoint> ckpt = Checkpoint::decode(
         readFile(corpusDir + "/checkpoint/count-inflated.ckpt"));
-    ASSERT_FALSE(ckpt.ok());
-    EXPECT_EQ(ckpt.status().message().find("checksum"),
-              std::string::npos)
-        << ckpt.status().message();
-
+    expectBoundFailure(ckpt.status());
     const Result<EventTrace> trace = EventTrace::decode(
         readFile(corpusDir + "/trace/count-inflated.trace"));
-    ASSERT_FALSE(trace.ok());
-    EXPECT_EQ(trace.status().message().find("checksum"),
-              std::string::npos)
-        << trace.status().message();
+    expectBoundFailure(trace.status());
 }
 
 TEST(FuzzCorpus, ConfigVerdictsMatchFilenames)

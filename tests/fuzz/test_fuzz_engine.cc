@@ -63,7 +63,7 @@ class SlowTarget : public BenignTarget
         (void)input;
         volatile std::uint64_t sink = 0;
         for (std::uint64_t i = 0; i < 50'000'000; ++i)
-            sink += i;
+            sink = sink + i;
     }
 };
 

@@ -17,6 +17,7 @@
 
 #include "base/strutil.hh"
 #include "core/experiment.hh"
+#include "snapshot/event_trace.hh"
 #include "workload/apps.hh"
 
 using namespace biglittle;
@@ -301,16 +302,6 @@ TEST(Resume, CorruptNewestFallsBackToOlderCheckpoint)
     EXPECT_EQ(fingerprint(resumed), fingerprint(full));
 }
 
-TEST(ResumeDeathTest, RecordAndReplayTogetherIsFatal)
-{
-    ExperimentConfig cfg;
-    cfg.snapshot.recordTracePath = "/tmp/a.trace";
-    cfg.snapshot.replayTracePath = "/tmp/b.trace";
-    EXPECT_EXIT((void)Experiment(cfg).runApp(testApp(1)),
-                ::testing::ExitedWithCode(1),
-                "record and replay");
-}
-
 TEST(TraceReplay, IdenticalRunMatchesRecordedTrace)
 {
     const std::string trace =
@@ -326,6 +317,36 @@ TEST(TraceReplay, IdenticalRunMatchesRecordedTrace)
     EXPECT_FALSE(r.traceDiverged);
     EXPECT_TRUE(r.divergenceReport.empty());
     std::remove(trace.c_str());
+}
+
+TEST(TraceReplay, RecordAndReplayInOneRun)
+{
+    // One run can replay-compare against an earlier recording and
+    // record its own trace at the same time.
+    const std::string earlier =
+        ::testing::TempDir() + "bl_replay_both_earlier.trace";
+    const std::string again =
+        ::testing::TempDir() + "bl_replay_both_again.trace";
+    std::remove(again.c_str());
+
+    ExperimentConfig record_cfg;
+    record_cfg.snapshot.recordTracePath = earlier;
+    (void)Experiment(record_cfg).runApp(testApp(5));
+
+    ExperimentConfig both_cfg;
+    both_cfg.snapshot.recordTracePath = again;
+    both_cfg.snapshot.replayTracePath = earlier;
+    const AppRunResult r = Experiment(both_cfg).runApp(testApp(5));
+    EXPECT_FALSE(r.traceDiverged) << r.divergenceReport;
+
+    const Result<EventTrace> first = EventTrace::readFile(earlier);
+    const Result<EventTrace> second = EventTrace::readFile(again);
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(second.ok()) << second.status().toString();
+    EXPECT_FALSE(first.value().records.empty());
+    EXPECT_EQ(second.value().encode(), first.value().encode());
+    std::remove(earlier.c_str());
+    std::remove(again.c_str());
 }
 
 TEST(TraceReplay, PerturbedRunReportsFirstDivergence)

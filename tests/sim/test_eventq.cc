@@ -343,21 +343,35 @@ TEST(EventQueue, ServiceHookSeesEveryEventIdentity)
     EXPECT_EQ(seen.size(), 2u);
 }
 
-TEST(EventQueue, RecentLogKeepsOnlyLastN)
+TEST(EventQueue, VisitHeadSeesFirstPendingInFiringOrder)
 {
     EventQueue q;
-    q.enableRecentLog(3);
     std::vector<int> log;
-    std::vector<std::unique_ptr<LogEvent>> events;
-    for (int i = 0; i < 5; ++i) {
-        events.push_back(std::make_unique<LogEvent>(log, i));
-        q.schedule(*events.back(), (i + 1) * 10);
-    }
-    q.runUntil(100);
+    LogEvent late(log, 0), gov(log, 1, EventPriority::governor),
+        first(log, 2), task(log, 3, EventPriority::taskState),
+        second(log, 4);
+    q.schedule(late, 30);
+    q.schedule(gov, 20);
+    q.schedule(first, 20);
+    q.schedule(task, 20);
+    q.schedule(second, 20);
 
-    ASSERT_EQ(q.recentLog().size(), 3u);
-    EXPECT_EQ(q.recentLog().front().when, 30u); // oldest kept
-    EXPECT_EQ(q.recentLog().back().when, 50u); // newest
+    // Tick, then priority, then schedule order within a priority.
+    std::vector<const Event *> seen;
+    q.visitHead(4, [&](const Event &e) { seen.push_back(&e); });
+    const std::vector<const Event *> want{&task, &gov, &first, &second};
+    EXPECT_EQ(seen, want);
+
+    // A longer visit stops at the queue's end, and visiting changes
+    // nothing: the queue then fires in the visited order.
+    seen.clear();
+    q.visitHead(10, [&](const Event &e) { seen.push_back(&e); });
+    ASSERT_EQ(seen.size(), 5u);
+    EXPECT_EQ(seen.back(), &late);
+    EXPECT_EQ(q.size(), 5u);
+    EXPECT_EQ(q.eventsServiced(), 0u);
+    q.runUntil(30);
+    EXPECT_EQ(log, (std::vector<int>{3, 1, 2, 4, 0}));
 }
 
 TEST(EventQueue, SerializeIsDeterministicAcrossIdenticalRuns)

@@ -32,7 +32,7 @@ slurp(const std::string &path)
     return out.str();
 }
 
-/** Service a couple of named events so the ring buffer has content. */
+/** Service a couple of events so the run makes progress. */
 void
 serviceSomeEvents(Simulation &sim)
 {
@@ -69,7 +69,16 @@ TEST(Watchdog, StallTripWritesReportAndCheckpoint)
     dog.setExitOnTrip(false);
     dog.start(sim.eventQueue());
 
-    serviceSomeEvents(sim);
+    // One event is serviced before the heartbeat and two are still
+    // pending at it.
+    EventQueue &queue = sim.eventQueue();
+    CallbackEvent done([] {}, EventPriority::deferred, "ev.serviced");
+    CallbackEvent later([] {}, EventPriority::deferred, "ev.later");
+    CallbackEvent next([] {}, EventPriority::deferred, "ev.next");
+    queue.schedule(done, 10);
+    queue.schedule(later, 30);
+    queue.schedule(next, 20);
+    sim.runUntil(15);
     dog.heartbeat();
     dog.noteCheckpoint({0xDE, 0xAD, 0xBE, 0xEF});
 
@@ -80,10 +89,15 @@ TEST(Watchdog, StallTripWritesReportAndCheckpoint)
     const std::string text = slurp(report);
     EXPECT_NE(text.find("watchdog trip"), std::string::npos);
     EXPECT_NE(text.find("stall limit"), std::string::npos);
-    EXPECT_NE(text.find("events serviced: 2"), std::string::npos);
-    // The last-events ring dump names what the run was doing.
-    EXPECT_NE(text.find("ev.visible"), std::string::npos);
-    EXPECT_NE(text.find("ev.last"), std::string::npos);
+    EXPECT_NE(text.find("events serviced: 1"), std::string::npos);
+    // The dump names what the run was about to do, in firing order,
+    // and nothing it already did.
+    const std::size_t next_at = text.find("'ev.next'");
+    const std::size_t later_at = text.find("'ev.later'");
+    ASSERT_NE(next_at, std::string::npos) << text;
+    ASSERT_NE(later_at, std::string::npos) << text;
+    EXPECT_LT(next_at, later_at) << text;
+    EXPECT_EQ(text.find("ev.serviced"), std::string::npos) << text;
 
     const std::string ckpt = slurp(report + ".ckpt");
     EXPECT_EQ(ckpt, std::string("\xDE\xAD\xBE\xEF"));

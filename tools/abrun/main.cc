@@ -315,8 +315,11 @@ main(int argc, char **argv)
 
     std::vector<Cell> cells;
     for (std::size_t a = 0; a < opt.apps.size(); ++a) {
-        for (std::uint64_t s = 0; s < opt.seeds; ++s)
-            cells.push_back({a, opt.seedBase + s});
+        for (std::uint64_t s = 0; s < opt.seeds; ++s) {
+            Cell &cell = cells.emplace_back();
+            cell.appIndex = a;
+            cell.seed = opt.seedBase + s;
+        }
     }
 
     std::deque<std::size_t> pending;
