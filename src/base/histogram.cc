@@ -113,20 +113,4 @@ DiscreteHistogram::serialize(Serializer &s) const
     s.putDouble(total);
 }
 
-void
-DiscreteHistogram::deserialize(Deserializer &d)
-{
-    map.clear();
-    // key u64 + weight double per cell
-    const std::uint64_t cells = d.getCount(16);
-    for (std::uint64_t i = 0; i < cells && d.ok(); ++i) {
-        const std::uint64_t key = d.getU64();
-        // A hostile key inserts one cell keyed by it; the cell
-        // count above is already getCount-bounded.
-        // ablint:allow(taint-bound): map is associative, the key is a value not a size
-        map[key] = d.getDouble();
-    }
-    total = d.getDouble();
-}
-
 } // namespace biglittle

@@ -19,7 +19,6 @@ namespace biglittle
 {
 
 class Serializer;
-class Deserializer;
 
 /**
  * Histogram over half-open numeric bins [edge_i, edge_{i+1}) with
@@ -96,9 +95,6 @@ class DiscreteHistogram
 
     /** Write cells + total (sorted, so byte-stable). */
     void serialize(Serializer &s) const;
-
-    /** Replace contents with state written by serialize(). */
-    void deserialize(Deserializer &d);
 
   private:
     std::map<std::uint64_t, double> map;

@@ -142,15 +142,6 @@ Rng::serialize(Serializer &ser) const
     ser.putBool(hasCachedNormal);
 }
 
-void
-Rng::deserialize(Deserializer &d)
-{
-    for (auto &word : s)
-        word = d.getU64();
-    cachedNormal = d.getDouble();
-    hasCachedNormal = d.getBool();
-}
-
 std::uint64_t
 deriveStreamSeed(std::uint64_t master_seed, const std::string &name)
 {

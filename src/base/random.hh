@@ -19,7 +19,6 @@ namespace biglittle
 {
 
 class Serializer;
-class Deserializer;
 
 /**
  * A small, fast, deterministic random number generator
@@ -71,14 +70,9 @@ class Rng
 
     /**
      * Write the full generator state (xoshiro words plus the cached
-     * Box-Muller variate).  serialize -> deserialize -> serialize is
-     * byte-identical, and a restored generator continues the exact
-     * draw sequence of the original.
+     * Box-Muller variate): the bytes determine every later draw.
      */
     void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize(). */
-    void deserialize(Deserializer &d);
 
   private:
     std::uint64_t s[4];

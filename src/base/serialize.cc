@@ -67,14 +67,6 @@ Deserializer::take(void *out, std::size_t len)
     return true;
 }
 
-std::uint8_t
-Deserializer::getU8()
-{
-    std::uint8_t v = 0;
-    take(&v, 1);
-    return v;
-}
-
 std::uint32_t
 Deserializer::getU32()
 {
@@ -94,15 +86,6 @@ Deserializer::getU64()
     std::uint64_t v = 0;
     for (int i = 0; i < 8; ++i)
         v |= static_cast<std::uint64_t>(raw[i]) << (8 * i);
-    return v;
-}
-
-double
-Deserializer::getDouble()
-{
-    const std::uint64_t bits = getU64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
     return v;
 }
 

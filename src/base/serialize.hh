@@ -5,12 +5,13 @@
  * The encoding is deliberately dumb: fixed-width little-endian
  * primitives, doubles as their IEEE-754 bit patterns, strings as
  * length-prefixed bytes.  Dumbness is the point - the checkpoint
- * contract is "serialize -> restore -> serialize produces identical
- * bytes", and a format with no discretion (no varints, no text
- * rounding, no map-iteration ambiguity) makes that property trivial
- * to audit.  Every multi-field component writes and reads its fields
- * in one fixed order; a version field at the container level (see
- * snapshot/checkpoint.hh) guards layout evolution.
+ * contract is "the same state serializes to the same bytes", and a
+ * format with no discretion (no varints, no text rounding, no
+ * map-iteration ambiguity) makes that property trivial to audit.
+ * Every multi-field component writes its fields in one fixed order;
+ * a version field at the container level (see snapshot/checkpoint.hh)
+ * guards layout evolution.  Component state is never decoded back:
+ * the Deserializer reads only the checkpoint and trace containers.
  */
 
 #ifndef BIGLITTLE_BASE_SERIALIZE_HH
@@ -84,12 +85,9 @@ class Deserializer
     {
     }
 
-    std::uint8_t getU8();
-    bool getBool() { return getU8() != 0; }
     std::uint32_t getU32();
     std::uint64_t getU64();
     std::int64_t getI64() { return static_cast<std::int64_t>(getU64()); }
-    double getDouble();
     std::vector<std::uint8_t> getBytes();
     std::string getString();
 

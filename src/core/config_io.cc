@@ -114,6 +114,16 @@ applyKey(ExperimentConfig &cfg, int line_no, const std::string &key,
         }
         return r.value();
     };
+    // Reject a parsed value its component would assert on (or, for
+    // the timeslice, spin on).  Each condition mirrors the
+    // component's check and is false for NaN.
+    const auto require = [&](bool in_range, const char *range) {
+        if (st.ok() && !in_range)
+            st = invalidArgument(format(
+                "config line %d: key '%s': '%s' is out of range "
+                "(must be %s)",
+                line_no, key.c_str(), value.c_str(), range));
+    };
     if (key == "governor") {
         Result<GovernorKind> g = governorKindFromName(value);
         if (!g.ok())
@@ -124,8 +134,12 @@ applyKey(ExperimentConfig &cfg, int line_no, const std::string &key,
         cfg.label = value;
     } else if (key == "interactive.sampling_ms") {
         cfg.interactive.samplingRate = msToTicks(unum());
+        require(cfg.interactive.samplingRate > 0, "at least 1");
     } else if (key == "interactive.target_load") {
         cfg.interactive.targetLoad = num();
+        require(cfg.interactive.targetLoad > 0.0 &&
+                    cfg.interactive.targetLoad <= 100.0,
+                "above 0 and at most 100");
     } else if (key == "interactive.go_hispeed_load") {
         cfg.interactive.goHispeedLoad = num();
     } else if (key == "interactive.hispeed_fraction") {
@@ -136,9 +150,11 @@ applyKey(ExperimentConfig &cfg, int line_no, const std::string &key,
         cfg.sched.downThreshold = static_cast<std::uint32_t>(unum());
     } else if (key == "sched.half_life_ms") {
         cfg.sched.loadHalfLifeMs = num();
+        require(cfg.sched.loadHalfLifeMs > 0.0, "above 0");
     } else if (key == "sched.timeslice_ms") {
         cfg.sched.timeslice =
             msToTicks(unum());
+        require(cfg.sched.timeslice > 0, "at least 1");
     } else if (key == "sched.boost_khz") {
         cfg.sched.upMigrationBoostFreq =
             static_cast<FreqKHz>(unum());
@@ -160,6 +176,7 @@ applyKey(ExperimentConfig &cfg, int line_no, const std::string &key,
     } else if (key == "sample_window_ms") {
         cfg.sampleWindow =
             msToTicks(unum());
+        require(cfg.sampleWindow > 0, "at least 1");
     } else if (key == "fault.enabled") {
         cfg.fault.enabled = boolean();
     } else if (key == "fault.seed") {
@@ -167,6 +184,7 @@ applyKey(ExperimentConfig &cfg, int line_no, const std::string &key,
     } else if (key == "fault.draw_period_ms") {
         cfg.fault.drawPeriod =
             msToTicks(unum());
+        require(cfg.fault.drawPeriod > 0, "at least 1");
     } else if (key == "fault.hotplug_rate_hz") {
         cfg.fault.hotplugRatePerSec = num();
     } else if (key == "fault.hotplug_downtime_ms") {
@@ -174,8 +192,14 @@ applyKey(ExperimentConfig &cfg, int line_no, const std::string &key,
             msToTicks(unum());
     } else if (key == "fault.dvfs_deny_prob") {
         cfg.fault.dvfsDenyProb = num();
+        require(cfg.fault.dvfsDenyProb >= 0.0 &&
+                    cfg.fault.dvfsDenyProb <= 1.0,
+                "in [0, 1]");
     } else if (key == "fault.dvfs_delay_prob") {
         cfg.fault.dvfsDelayProb = num();
+        require(cfg.fault.dvfsDelayProb >= 0.0 &&
+                    cfg.fault.dvfsDelayProb <= 1.0,
+                "in [0, 1]");
     } else if (key == "fault.dvfs_extra_latency_us") {
         cfg.fault.dvfsExtraLatency =
             usToTicks(unum());
@@ -214,8 +238,10 @@ applyKey(ExperimentConfig &cfg, int line_no, const std::string &key,
         cfg.watchdog.enabled = boolean();
     } else if (key == "watchdog.stall_limit_sec") {
         cfg.watchdog.stallLimitSec = num();
+        require(cfg.watchdog.stallLimitSec > 0.0, "above 0");
     } else if (key == "watchdog.runaway_limit_sec") {
         cfg.watchdog.runawayLimitSec = num();
+        require(cfg.watchdog.runawayLimitSec >= 0.0, "at least 0");
     } else if (key == "watchdog.report") {
         cfg.watchdog.reportPath = value;
     } else if (key == "watchdog.ring_depth") {
@@ -237,6 +263,9 @@ parseExperimentConfig(const std::string &text)
     std::istringstream in(text);
     std::string line;
     int line_no = 0;
+    // The last thermal trip key read, for the cross-key check below.
+    int trip_line = 0;
+    std::string trip_key;
     while (std::getline(in, line)) {
         ++line_no;
         const auto hash = line.find('#');
@@ -258,7 +287,19 @@ parseExperimentConfig(const std::string &text)
         Status st = applyKey(cfg, line_no, key, value);
         if (!st.ok())
             return st;
+        if (key == "thermal.hot_trip_c" || key == "thermal.cool_trip_c") {
+            trip_line = line_no;
+            trip_key = key;
+        }
     }
+    // ThermalThrottle asserts hot > cool.  The defaults satisfy it,
+    // so a violation always has a trip key to blame.
+    if (!(cfg.thermal.hotTripC > cfg.thermal.coolTripC))
+        return invalidArgument(format(
+            "config line %d: key '%s': thermal.hot_trip_c (%g) must be "
+            "above thermal.cool_trip_c (%g)",
+            trip_line, trip_key.c_str(), cfg.thermal.hotTripC,
+            cfg.thermal.coolTripC));
     // Keep the label of the core combination coherent.
     cfg.coreConfig.label = format("L%u+B%u",
                                   cfg.coreConfig.littleCores,

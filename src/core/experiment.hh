@@ -64,9 +64,11 @@ struct SnapshotParams
     /**
      * Resume from this checkpoint: the run deterministically
      * re-executes up to the checkpoint's tick, byte-compares every
-     * state section against the file (any mismatch is a hard,
-     * attributed error), and then continues.  Requires the same
-     * config, app, and seeds that produced the checkpoint.
+     * state section against the file, and then continues.  No
+     * section is decoded back into a component.  A mismatch ends the
+     * run with a failed result (trigger resume-divergence) naming the
+     * differing section.  Requires the same config, app, and seeds
+     * that produced the checkpoint.
      */
     std::string resumePath;
 

@@ -368,20 +368,4 @@ FaultInjector::serialize(Serializer &s) const
     s.putU64(faultStats.suppressed);
 }
 
-void
-FaultInjector::deserialize(Deserializer &d)
-{
-    rng.deserialize(d);
-    faultStats.hotplugOff = d.getU64();
-    faultStats.hotplugOn = d.getU64();
-    faultStats.hotplugRejected = d.getU64();
-    faultStats.dvfsDenied = d.getU64();
-    faultStats.dvfsDelayed = d.getU64();
-    faultStats.thermalSpikes = d.getU64();
-    faultStats.taskStalls = d.getU64();
-    faultStats.crashes = d.getU64();
-    faultStats.invariantBreaks = d.getU64();
-    faultStats.suppressed = d.getU64();
-}
-
 } // namespace biglittle

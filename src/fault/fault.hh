@@ -41,7 +41,6 @@ namespace biglittle
 class AsymmetricPlatform;
 class HmpScheduler;
 class Serializer;
-class Deserializer;
 class ThermalThrottle;
 
 /**
@@ -241,9 +240,6 @@ class FaultInjector
      * bytes identical across attempts (docs/ROBUSTNESS.md §8).
      */
     void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize(). */
-    void deserialize(Deserializer &d);
 
   private:
     Simulation &sim;

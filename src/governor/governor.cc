@@ -106,25 +106,7 @@ Governor::serialize(Serializer &s) const
 }
 
 void
-Governor::deserialize(Deserializer &d)
-{
-    sampleCount = d.getU64();
-    deniedCount = d.getU64();
-    lastSampleTick = d.getU64();
-    const std::uint64_t cores = d.getCount(sizeof(Tick));
-    lastBusyTicks.assign(static_cast<std::size_t>(cores), 0);
-    for (auto &busy : lastBusyTicks)
-        busy = d.getU64();
-    deserializePolicy(d);
-}
-
-void
 Governor::serializePolicy(Serializer &) const
-{
-}
-
-void
-Governor::deserializePolicy(Deserializer &)
 {
 }
 

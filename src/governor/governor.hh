@@ -23,7 +23,6 @@ namespace biglittle
 {
 
 class Serializer;
-class Deserializer;
 
 /** Base class for cluster frequency governors. */
 class Governor
@@ -64,15 +63,10 @@ class Governor
      */
     void serialize(Serializer &s) const;
 
-    /** Restore state written by serialize(). */
-    void deserialize(Deserializer &d);
-
   protected:
     /** Policy hook: append subclass state (default: nothing). */
     virtual void serializePolicy(Serializer &s) const;
 
-    /** Policy hook: restore subclass state (default: nothing). */
-    virtual void deserializePolicy(Deserializer &d);
     /** Frequency to apply when the governor starts. */
     virtual FreqKHz initialFreq() const;
 

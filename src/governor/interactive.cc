@@ -103,10 +103,4 @@ InteractiveGovernor::serializePolicy(Serializer &s) const
     s.putU64(jumps);
 }
 
-void
-InteractiveGovernor::deserializePolicy(Deserializer &d)
-{
-    jumps = d.getU64();
-}
-
 } // namespace biglittle

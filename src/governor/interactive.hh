@@ -78,7 +78,6 @@ class InteractiveGovernor : public Governor
   protected:
     void sample(Tick now) override;
     void serializePolicy(Serializer &s) const override;
-    void deserializePolicy(Deserializer &d) override;
 
   private:
     InteractiveParams ip;

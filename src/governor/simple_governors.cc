@@ -60,12 +60,6 @@ UserspaceGovernor::serializePolicy(Serializer &s) const
 }
 
 void
-UserspaceGovernor::deserializePolicy(Deserializer &d)
-{
-    heldFreq = d.getU32();
-}
-
-void
 UserspaceGovernor::sample(Tick)
 {
     clusterUtilization();

@@ -63,7 +63,6 @@ class UserspaceGovernor : public Governor
     FreqKHz initialFreq() const override { return heldFreq; }
     void sample(Tick now) override;
     void serializePolicy(Serializer &s) const override;
-    void deserializePolicy(Deserializer &d) override;
 
   private:
     FreqKHz heldFreq;

@@ -92,15 +92,4 @@ Cluster::serialize(Serializer &s) const
     domain.serialize(s);
 }
 
-void
-Cluster::deserialize(Deserializer &d)
-{
-    lastUpdate = d.getU64();
-    activeW = d.getDouble();
-    idleW = d.getDouble();
-    for (auto &c : coreList)
-        c->deserialize(d);
-    domain.deserialize(d);
-}
-
 } // namespace biglittle

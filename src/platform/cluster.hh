@@ -22,7 +22,6 @@ namespace biglittle
 {
 
 class Serializer;
-class Deserializer;
 
 /** A homogeneous group of cores with shared L2 and clock. */
 class Cluster
@@ -80,9 +79,6 @@ class Cluster
      * interval is closed at the current tick.
      */
     void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize(). */
-    void deserialize(Deserializer &d);
 
   private:
     Simulation &sim;

@@ -111,20 +111,4 @@ Core::serialize(Serializer &s) const
     s.putDouble(idleGatedW);
 }
 
-void
-Core::deserialize(Deserializer &d)
-{
-    isOnline = d.getBool();
-    isBusy = d.getBool();
-    lastUpdate = d.getU64();
-    busyTotal = d.getU64();
-    onlineTotal = d.getU64();
-    idleSpanStart = d.getU64();
-    busyByFreq.deserialize(d);
-    dynW = d.getDouble();
-    staticBusyW = d.getDouble();
-    idleWfiW = d.getDouble();
-    idleGatedW = d.getDouble();
-}
-
 } // namespace biglittle

@@ -116,9 +116,6 @@ class Core
      */
     void serialize(Serializer &s) const;
 
-    /** Restore state written by serialize() (round-trip exact). */
-    void deserialize(Deserializer &d);
-
   private:
     Simulation &sim;
     CoreId coreId; // ablint:allow(serialize-coverage): identity fixed at construction

@@ -180,25 +180,4 @@ FreqDomain::serialize(Serializer &s) const
     s.putU64(delayedCount);
 }
 
-void
-FreqDomain::deserialize(Deserializer &d)
-{
-    curIndex = static_cast<std::size_t>(d.getU64());
-    ceilingIndex = static_cast<std::size_t>(d.getU64());
-    pendingIndex = static_cast<std::size_t>(d.getU64());
-    const bool pending_scheduled = d.getBool();
-    const Tick apply_at = d.getU64();
-    transitionCount = d.getU64();
-    deniedCount = d.getU64();
-    delayedCount = d.getU64();
-    if (!d.ok())
-        return;
-    BL_ASSERT(curIndex < table.size());
-    BL_ASSERT(ceilingIndex < table.size());
-    if (applyEvent.scheduled())
-        sim.eventQueue().deschedule(applyEvent);
-    if (pending_scheduled)
-        sim.eventQueue().schedule(applyEvent, apply_at);
-}
-
 } // namespace biglittle

@@ -27,7 +27,6 @@ namespace biglittle
 {
 
 class Serializer;
-class Deserializer;
 
 /**
  * What a fault gate decides about one DVFS request: let it through,
@@ -150,13 +149,6 @@ class FreqDomain
      * transition/fault counters.
      */
     void serialize(Serializer &s) const;
-
-    /**
-     * Restore state written by serialize().  A pending transition is
-     * re-scheduled at its recorded tick (which must not be in the
-     * past of the owning simulation).
-     */
-    void deserialize(Deserializer &d);
 
   private:
     Simulation &sim;

@@ -113,19 +113,4 @@ ThermalThrottle::serialize(Serializer &s) const
     s.putU64(spikes);
 }
 
-void
-ThermalThrottle::deserialize(Deserializer &d)
-{
-    temp = d.getDouble();
-    lastEval = d.getU64();
-    ceilingIndex = static_cast<std::size_t>(d.getU64());
-    throttles = d.getU64();
-    spikes = d.getU64();
-    if (!d.ok())
-        return;
-    FreqDomain &domain = clusterRef.freqDomain();
-    BL_ASSERT(ceilingIndex < domain.opps().size());
-    domain.setCeiling(domain.opps()[ceilingIndex].freq);
-}
-
 } // namespace biglittle

@@ -25,7 +25,6 @@ namespace biglittle
 {
 
 class Serializer;
-class Deserializer;
 
 /** Thermal-model coefficients for one cluster. */
 struct ThermalParams
@@ -79,9 +78,6 @@ class ThermalThrottle
 
     /** Write temperature/ceiling state and counters. */
     void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize(). */
-    void deserialize(Deserializer &d);
 
   private:
     Simulation &sim;

@@ -381,24 +381,4 @@ HmpScheduler::serialize(Serializer &s) const
         task->serialize(s);
 }
 
-void
-HmpScheduler::deserialize(Deserializer &d)
-{
-    schedStats.migrationsUp = d.getU64();
-    schedStats.migrationsDown = d.getU64();
-    schedStats.balanceMoves = d.getU64();
-    schedStats.wakeups = d.getU64();
-    schedStats.ticks = d.getU64();
-    schedStats.affinityBreaks = d.getU64();
-    schedStats.boostsDenied = d.getU64();
-    nextTaskId = d.getU64();
-    rrCursor = static_cast<std::size_t>(d.getU64());
-    const std::uint64_t count = d.getU64();
-    if (!d.ok())
-        return;
-    BL_ASSERT(count == taskList.size());
-    for (auto &task : taskList)
-        task->deserialize(d);
-}
-
 } // namespace biglittle

@@ -34,7 +34,6 @@ namespace biglittle
 {
 
 class Serializer;
-class Deserializer;
 
 /** Counters describing scheduler activity over a run. */
 struct SchedStats
@@ -129,14 +128,11 @@ class HmpScheduler
 
     /**
      * Write scheduler counters plus every task's state, in creation
-     * order.  Restore requires an identical task population (same
-     * count, same names), which holds when the same workload was
-     * instantiated against the same config.
+     * order.  Two runs compare equal only with an identical task
+     * population (same count, same names), which holds when the same
+     * workload was instantiated against the same config.
      */
     void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize(). */
-    void deserialize(Deserializer &d);
 
   private:
     Simulation &sim;

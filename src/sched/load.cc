@@ -67,11 +67,4 @@ LoadTracker::serialize(Serializer &s) const
     s.putDouble(load);
 }
 
-void
-LoadTracker::deserialize(Deserializer &d)
-{
-    setHalfLife(d.getDouble());
-    load = d.getDouble();
-}
-
 } // namespace biglittle

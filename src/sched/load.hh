@@ -21,7 +21,6 @@ namespace biglittle
 {
 
 class Serializer;
-class Deserializer;
 
 /** Decaying average of per-millisecond runnable load. */
 class LoadTracker
@@ -77,11 +76,9 @@ class LoadTracker
     /** Write half-life and current load. */
     void serialize(Serializer &s) const;
 
-    /** Restore state written by serialize(). */
-    void deserialize(Deserializer &d);
-
   private:
-    double halfLifeMs; // ablint:allow(serialize-coverage): restored via setHalfLife(), which derives decayFactor
+    double halfLifeMs;
+    // ablint:allow(serialize-coverage): derived from halfLifeMs, which is serialized
     double decayFactor; ///< per-period multiplier y, y^halfLife = 0.5
     double load = 0.0;
 

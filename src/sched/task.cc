@@ -115,37 +115,4 @@ Task::serialize(Serializer &s) const
     load.serialize(s);
 }
 
-void
-Task::deserialize(Deserializer &d)
-{
-    const std::string name = d.getString();
-    const auto state = static_cast<TaskState>(d.getU8());
-    const CoreId core_id = d.getU32();
-    const double pending_in = d.getDouble();
-    const double retired_in = d.getDouble();
-    const std::uint64_t migrations_in = d.getU64();
-    const Tick runnable_start = d.getU64();
-    const Tick sleep_start = d.getU64();
-    const Tick load_stamp = d.getU64();
-    const Tick little_rt = d.getU64();
-    const Tick big_rt = d.getU64();
-    const CoreId last_core = d.getU32();
-    load.deserialize(d);
-    if (!d.ok())
-        return;
-    BL_ASSERT(name == taskName);
-    taskState = state;
-    curCore = core_id == invalidCoreId
-        ? nullptr : &sched.platform().core(core_id);
-    pending = pending_in;
-    retired = retired_in;
-    migrations = migrations_in;
-    runnableStart = runnable_start;
-    sleepStart = sleep_start;
-    loadStamp = load_stamp;
-    littleRuntime = little_rt;
-    bigRuntime = big_rt;
-    lastCore = last_core;
-}
-
 } // namespace biglittle

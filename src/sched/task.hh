@@ -27,7 +27,6 @@ namespace biglittle
 class Core;
 class HmpScheduler;
 class Serializer;
-class Deserializer;
 class Task;
 
 /** Observer a workload installs to drive a task's phase machine. */
@@ -157,14 +156,10 @@ class Task
 
     /**
      * Write the task's mutable state (lifecycle state, backlog,
-     * accounting, load tracker).  The current core is recorded by id;
-     * restore resolves it against the owning scheduler's platform, so
-     * topology must match.
+     * accounting, load tracker).  The current core is recorded by id,
+     * so the bytes compare equal only on a matching topology.
      */
     void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize(). */
-    void deserialize(Deserializer &d);
 
   private:
     HmpScheduler &sched;

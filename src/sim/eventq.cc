@@ -140,7 +140,7 @@ EventQueue::setServiceHook(ServiceHook hook)
 }
 
 void
-EventQueue::serialize(Serializer &s) const // ablint:allow(serialize-coverage): digest-only, restore by replay
+EventQueue::serialize(Serializer &s) const
 {
     s.putU64(curTick);
     s.putU64(nextSequence);

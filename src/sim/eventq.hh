@@ -178,9 +178,9 @@ class EventQueue
      * priority, sequence, name-hash) in firing order.  Two runs with
      * identical behavior produce identical bytes; the digest form is
      * used because pending events (closures) cannot themselves be
-     * reconstructed from bytes.  There is deliberately no
-     * deserialize(): restore re-executes to the checkpoint tick and
-     * byte-compares this digest instead (docs/DETERMINISM.md).
+     * reconstructed from bytes.  Like every section, it is only ever
+     * compared: resume re-executes to the checkpoint tick and
+     * byte-compares it (docs/DETERMINISM.md).
      */
     void serialize(Serializer &s) const;
 
@@ -204,11 +204,13 @@ class EventQueue
     std::uint64_t nextSequence = 0;
     std::uint64_t serviced = 0;
 
+    // ablint:allow(serialize-coverage): observer wiring, attached by the caller
     ServiceHook serviceHook;
 
+    // ablint:allow(serialize-coverage): set from the run config or the recovery script, both replayed on resume
     TieBreak tieMode = TieBreak::fifo;
     // ablint:allow(rng-stream): fixed tie-break stream, part of the event-order contract
-    Rng tieRng{1};
+    Rng tieRng{1}; // ablint:allow(serialize-coverage): reseeded by setTieBreak(), which re-execution replays
     RaceDetector *race = nullptr;
 };
 

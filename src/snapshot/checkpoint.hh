@@ -18,12 +18,12 @@
  * name; reads validate magic, version, and checksum and return a
  * Status instead of crashing on a damaged file.
  *
- * Restoring does NOT rebuild the event queue from these bytes - the
- * queue holds closures that cannot round-trip through a file.
- * Resume re-executes deterministically up to `tick` and then
- * byte-compares every section against the live state (see
- * docs/DETERMINISM.md), so the sections double as a tamper-evident
- * fingerprint of the run.
+ * Sections are compared, never decoded: nothing rebuilds a component
+ * from these bytes (the event queue alone holds closures that could
+ * not round-trip through a file).  Resume re-executes
+ * deterministically up to `tick` and then byte-compares every section
+ * against the live state (see docs/DETERMINISM.md), so the sections
+ * double as a tamper-evident fingerprint of the run.
  */
 
 #ifndef BIGLITTLE_SNAPSHOT_CHECKPOINT_HH
@@ -43,13 +43,13 @@ namespace biglittle
 
 /**
  * File format magic ("BLCK") and the current layout version.  The
- * version guards every section payload layout, not just the container
- * framing: bump it whenever any component's serialize() bytes change
- * (v2: FaultInjector gained the crash/invariant-break/suppressed
- * counters; v3: EventQueue dropped its recent-event ring, which
- * changed its field schema but no byte), so an old-build checkpoint
- * is rejected up front instead of under-reading a section into
- * garbage.
+ * version covers every section's bytes, not just the container
+ * framing: bump it whenever any section's bytes change (v2:
+ * FaultInjector gained the crash/invariant-break/suppressed counters;
+ * v3 changed no byte).  Sections are only ever compared, never
+ * decoded, so there is no under-read to prevent: the bump makes a file
+ * written with an old layout fail at decode, up front, instead of
+ * failing resume verification after the whole fast-forward.
  */
 constexpr std::uint32_t checkpointMagic = 0x424C434BU;
 constexpr std::uint32_t checkpointVersion = 3;

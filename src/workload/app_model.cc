@@ -108,22 +108,4 @@ AppInstance::serialize(Serializer &s) const
         driver->serialize(s);
 }
 
-void
-AppInstance::deserialize(Deserializer &d)
-{
-    const std::string name = d.getString();
-    const std::uint64_t n = d.getU64();
-    if (!d.ok())
-        return;
-    BL_ASSERT(name == appSpec.name);
-    BL_ASSERT(n == behaviors.size());
-    for (auto &b : behaviors)
-        b->deserializeState(d);
-    renderStats.deserialize(d);
-    const bool has_driver = d.getBool();
-    BL_ASSERT(has_driver == (driver != nullptr));
-    if (driver)
-        driver->deserialize(d);
-}
-
 } // namespace biglittle

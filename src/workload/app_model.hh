@@ -128,9 +128,6 @@ class AppInstance
      */
     void serialize(Serializer &s) const;
 
-    /** Restore state written by serialize(). */
-    void deserialize(Deserializer &d);
-
   private:
     Simulation &sim;
     HmpScheduler &sched;

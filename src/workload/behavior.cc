@@ -27,12 +27,6 @@ Behavior::serializeState(Serializer &s) const
     rng.serialize(s);
 }
 
-void
-Behavior::deserializeState(Deserializer &d)
-{
-    rng.deserialize(d);
-}
-
 ContinuousBehavior::ContinuousBehavior(
     Simulation &sim_in, Task &task_in, Rng rng_in,
     double total_instructions, std::function<void(Tick)> on_complete)
@@ -65,15 +59,6 @@ ContinuousBehavior::serializeState(Serializer &s) const
     s.putDouble(budget);
     s.putBool(completed);
     s.putU64(finishTick);
-}
-
-void
-ContinuousBehavior::deserializeState(Deserializer &d)
-{
-    Behavior::deserializeState(d);
-    budget = d.getDouble();
-    completed = d.getBool();
-    finishTick = d.getU64();
 }
 
 PeriodicBehavior::PeriodicBehavior(Simulation &sim_in, Task &task_in,
@@ -150,14 +135,6 @@ PeriodicBehavior::serializeState(Serializer &s) const
     s.putU64(frames);
 }
 
-void
-PeriodicBehavior::deserializeState(Deserializer &d)
-{
-    Behavior::deserializeState(d);
-    nextRelease = d.getU64();
-    frames = d.getU64();
-}
-
 BurstBehavior::BurstBehavior(Simulation &sim_in, Task &task_in,
                              Rng rng_in, double chunk_instructions,
                              Tick chunk_gap)
@@ -223,14 +200,6 @@ BurstBehavior::serializeState(Serializer &s) const
     s.putU64(bursts);
 }
 
-void
-BurstBehavior::deserializeState(Deserializer &d)
-{
-    Behavior::deserializeState(d);
-    backlog = d.getDouble();
-    bursts = d.getU64();
-}
-
 DutyCycleBehavior::DutyCycleBehavior(Simulation &sim_in, Task &task_in,
                                      Rng rng_in,
                                      double target_utilization,
@@ -278,13 +247,6 @@ DutyCycleBehavior::serializeState(Serializer &s) const
 {
     Behavior::serializeState(s);
     s.putU64(chunkStart);
-}
-
-void
-DutyCycleBehavior::deserializeState(Deserializer &d)
-{
-    Behavior::deserializeState(d);
-    chunkStart = d.getU64();
 }
 
 } // namespace biglittle

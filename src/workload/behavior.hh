@@ -31,7 +31,6 @@ namespace biglittle
 {
 
 class Serializer;
-class Deserializer;
 
 /** Base class binding a task to its phase machine. */
 class Behavior : public TaskClient
@@ -50,13 +49,10 @@ class Behavior : public TaskClient
     /**
      * Write the phase machine's mutable state (private rng plus the
      * subclass's progress fields).  Pending self-rescheduling events
-     * are not written - restore is only valid via deterministic
-     * re-execution, which recreates them (see docs/DETERMINISM.md).
+     * are not written - resume re-executes deterministically, which
+     * recreates them (see docs/DETERMINISM.md).
      */
     virtual void serializeState(Serializer &s) const;
-
-    /** Restore state written by serializeState(). */
-    virtual void deserializeState(Deserializer &d);
 
     Task &task() { return taskRef; }
     const Task &task() const { return taskRef; }
@@ -97,7 +93,6 @@ class ContinuousBehavior : public Behavior
     void start() override;
     void onWorkDrained(Task &task) override;
     void serializeState(Serializer &s) const override;
-    void deserializeState(Deserializer &d) override;
 
     bool complete() const { return completed; }
     Tick completionTick() const { return finishTick; }
@@ -151,7 +146,6 @@ class PeriodicBehavior : public Behavior
     void start() override;
     void onWorkDrained(Task &task) override;
     void serializeState(Serializer &s) const override;
-    void deserializeState(Deserializer &d) override;
 
     const PeriodicSpec &spec() const { return periodicSpec; }
 
@@ -187,7 +181,6 @@ class BurstBehavior : public Behavior
     void start() override;
     void onWorkDrained(Task &task) override;
     void serializeState(Serializer &s) const override;
-    void deserializeState(Deserializer &d) override;
 
     /** Add @p instructions of burst work now. */
     void injectBurst(double instructions);
@@ -224,7 +217,6 @@ class DutyCycleBehavior : public Behavior
     void start() override;
     void onWorkDrained(Task &task) override;
     void serializeState(Serializer &s) const override;
-    void deserializeState(Deserializer &d) override;
 
     double targetUtilization() const { return target; }
 

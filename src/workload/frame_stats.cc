@@ -66,16 +66,6 @@ FrameStats::serialize(Serializer &s) const
         s.putU64(t);
 }
 
-void
-FrameStats::deserialize(Deserializer &d)
-{
-    const std::uint64_t n = d.getCount(sizeof(Tick));
-    completions.clear();
-    completions.reserve(n);
-    for (std::uint64_t i = 0; i < n && d.ok(); ++i)
-        completions.push_back(d.getU64());
-}
-
 SampleSeries
 FrameStats::frameIntervalsMs() const
 {

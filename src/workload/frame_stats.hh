@@ -19,7 +19,6 @@ namespace biglittle
 {
 
 class Serializer;
-class Deserializer;
 
 /** Collects frame-completion timestamps from a render thread. */
 class FrameStats
@@ -56,9 +55,6 @@ class FrameStats
 
     /** Write the completion record. */
     void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize(). */
-    void deserialize(Deserializer &d);
 
   private:
     std::vector<Tick> completions;

@@ -110,16 +110,4 @@ WorkflowDriver::serialize(Serializer &s) const
     s.putBool(finished);
 }
 
-void
-WorkflowDriver::deserialize(Deserializer &d)
-{
-    rng.deserialize(d);
-    startTick = d.getU64();
-    endTick = d.getU64();
-    nextAction = d.getU64();
-    completedActions = d.getU64();
-    outstanding = d.getU32();
-    finished = d.getBool();
-}
-
 } // namespace biglittle

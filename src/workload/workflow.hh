@@ -26,7 +26,6 @@ namespace biglittle
 {
 
 class Serializer;
-class Deserializer;
 
 /** One scripted user action. */
 struct ActionSpec
@@ -77,9 +76,6 @@ class WorkflowDriver
 
     /** Write the script-progress state and private rng. */
     void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize(). */
-    void deserialize(Deserializer &d);
 
   private:
     Simulation &sim;

@@ -161,6 +161,72 @@ TEST(ConfigIo, NegativeUnsignedValueIsAnError)
     EXPECT_NE(st.message().find("out of range"), std::string::npos);
 }
 
+TEST(ConfigIo, OutOfRangeValuesAreRejectedWithLineAndKey)
+{
+    // Each value reached a component's assert (the timeslice: an
+    // endless loop) before the parser range-checked it.
+    const struct
+    {
+        const char *text;
+        const char *where;
+    } cases[] = {
+        {"watchdog.stall_limit_sec = 0",
+         "line 1: key 'watchdog.stall_limit_sec'"},
+        {"watchdog.stall_limit_sec = -1",
+         "line 1: key 'watchdog.stall_limit_sec'"},
+        {"watchdog.stall_limit_sec = nan",
+         "line 1: key 'watchdog.stall_limit_sec'"},
+        {"watchdog.runaway_limit_sec = -5",
+         "line 1: key 'watchdog.runaway_limit_sec'"},
+        {"sample_window_ms = 0", "line 1: key 'sample_window_ms'"},
+        {"interactive.sampling_ms = 0",
+         "line 1: key 'interactive.sampling_ms'"},
+        {"interactive.target_load = 0",
+         "line 1: key 'interactive.target_load'"},
+        {"interactive.target_load = 150",
+         "line 1: key 'interactive.target_load'"},
+        {"interactive.target_load = nan",
+         "line 1: key 'interactive.target_load'"},
+        {"sched.half_life_ms = 0", "line 1: key 'sched.half_life_ms'"},
+        {"sched.half_life_ms = -3", "line 1: key 'sched.half_life_ms'"},
+        {"sched.timeslice_ms = 0", "line 1: key 'sched.timeslice_ms'"},
+        {"fault.enabled = true\nfault.draw_period_ms = 0",
+         "line 2: key 'fault.draw_period_ms'"},
+        {"fault.enabled = true\nfault.dvfs_deny_prob = 2",
+         "line 2: key 'fault.dvfs_deny_prob'"},
+        {"fault.enabled = true\nfault.dvfs_delay_prob = -0.5",
+         "line 2: key 'fault.dvfs_delay_prob'"},
+        {"fault.dvfs_delay_prob = nan",
+         "line 1: key 'fault.dvfs_delay_prob'"},
+        {"thermal.hot_trip_c = 10", "line 1: key 'thermal.hot_trip_c'"},
+        {"thermal.cool_trip_c = 200",
+         "line 1: key 'thermal.cool_trip_c'"},
+        {"thermal.hot_trip_c = nan",
+         "line 1: key 'thermal.hot_trip_c'"},
+        // Cross-key: blamed on the last trip key read.
+        {"thermal.cool_trip_c = 60\nthermal.hot_trip_c = 60\nseed = 1",
+         "line 2: key 'thermal.hot_trip_c'"},
+    };
+    for (const auto &c : cases) {
+        const Status st = parseErr(c.text);
+        EXPECT_EQ(st.code(), StatusCode::invalidArgument) << c.text;
+        EXPECT_NE(st.message().find(c.where), std::string::npos)
+            << c.text << " -> " << st.message();
+    }
+
+    // The edges of each range stay accepted.
+    const ExperimentConfig cfg = parseOk("interactive.target_load = 100\n"
+                                         "fault.dvfs_deny_prob = 1\n"
+                                         "fault.dvfs_delay_prob = 0\n"
+                                         "watchdog.runaway_limit_sec = 0\n"
+                                         "sched.timeslice_ms = 1\n"
+                                         "thermal.hot_trip_c = 200\n"
+                                         "thermal.cool_trip_c = 199\n");
+    EXPECT_DOUBLE_EQ(cfg.interactive.targetLoad, 100.0);
+    EXPECT_EQ(cfg.sched.timeslice, msToTicks(1));
+    EXPECT_DOUBLE_EQ(cfg.thermal.coolTripC, 199.0);
+}
+
 TEST(ConfigIo, EmptyKeyOrValueIsAnError)
 {
     EXPECT_NE(parseErr("= 5").message().find("empty key or value"),

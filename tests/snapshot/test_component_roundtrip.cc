@@ -1,47 +1,26 @@
 /**
  * @file
- * Round-trip property tests for every component serializer used by
- * checkpoints: serialize -> deserialize -> serialize must produce
- * identical bytes, and (where observable) the restored object must
- * continue exactly where the original stopped.  The live-rig tests
- * exercise the states a real mid-run checkpoint actually captures.
+ * Checkpoint sections are compared, never decoded: resume and
+ * rollback re-execute to the checkpoint tick and byte-compare each
+ * section.  So the property a section serializer must have is run
+ * stability - two identical runs serialize identical bytes - and the
+ * Deserializer that checkpoint and trace decoding rest on must fail
+ * softly on short input.
  */
 
 #include <gtest/gtest.h>
 
-#include "base/histogram.hh"
-#include "base/random.hh"
 #include "base/serialize.hh"
-#include "fault/fault.hh"
 #include "platform/platform.hh"
 #include "sched/hmp.hh"
 #include "sim/simulation.hh"
 #include "workload/app_model.hh"
 #include "workload/apps.hh"
-#include "workload/frame_stats.hh"
 
 using namespace biglittle;
 
 namespace
 {
-
-/** serialize -> deserialize -> serialize must be byte-identical. */
-template <typename T>
-void
-expectRoundTrip(T &object)
-{
-    Serializer first;
-    object.serialize(first);
-
-    Deserializer d(first.bytes());
-    object.deserialize(d);
-    ASSERT_TRUE(d.ok()) << d.status().message();
-    EXPECT_EQ(d.left(), 0u) << "deserialize consumed too little";
-
-    Serializer second;
-    object.serialize(second);
-    EXPECT_EQ(second.bytes(), first.bytes());
-}
 
 /** A live platform + scheduler + app, partway through a run. */
 class LiveRigRoundTrip : public ::testing::Test
@@ -65,110 +44,9 @@ class LiveRigRoundTrip : public ::testing::Test
 
 } // namespace
 
-TEST(ComponentRoundTrip, RngMidSequence)
-{
-    Rng rng(123);
-    for (int i = 0; i < 17; ++i)
-        rng.next();
-    expectRoundTrip(rng);
-}
-
-TEST(ComponentRoundTrip, RngWithCachedBoxMullerVariate)
-{
-    // An odd number of normal() draws leaves the cached second
-    // variate live; it is part of the serialized state.
-    Rng rng(7);
-    rng.normal(0.0, 1.0);
-    expectRoundTrip(rng);
-}
-
-TEST(ComponentRoundTrip, RestoredRngContinuesTheExactSequence)
-{
-    Rng original(99);
-    original.normal(5.0, 2.0); // leave a cached variate in flight
-    Serializer s;
-    original.serialize(s);
-
-    Rng restored(1); // different seed; must be fully overwritten
-    Deserializer d(s.bytes());
-    restored.deserialize(d);
-
-    for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(restored.next(), original.next());
-    EXPECT_DOUBLE_EQ(restored.normal(5.0, 2.0),
-                     original.normal(5.0, 2.0));
-}
-
-TEST(ComponentRoundTrip, EmptyHistogram)
-{
-    DiscreteHistogram h;
-    expectRoundTrip(h);
-}
-
-TEST(ComponentRoundTrip, PopulatedHistogram)
-{
-    DiscreteHistogram h;
-    h.add(1300000, 2.5);
-    h.add(800000, 1.0);
-    h.add(1300000, 0.5);
-    expectRoundTrip(h);
-    EXPECT_DOUBLE_EQ(h.weightAt(1300000), 3.0);
-    EXPECT_DOUBLE_EQ(h.totalWeight(), 4.0);
-}
-
-TEST(ComponentRoundTrip, FrameStats)
-{
-    FrameStats stats;
-    for (Tick t = 0; t < 10; ++t)
-        stats.recordFrame(t * msToTicks(16));
-    const double fps = stats.averageFps();
-    expectRoundTrip(stats);
-    EXPECT_EQ(stats.frames(), 10u);
-    EXPECT_DOUBLE_EQ(stats.averageFps(), fps);
-}
-
-TEST_F(LiveRigRoundTrip, ClustersMidRun)
-{
-    runApp(eternityWarrior2App(), msToTicks(300));
-    plat.sync();
-    expectRoundTrip(plat.littleCluster());
-    expectRoundTrip(plat.bigCluster());
-}
-
-TEST_F(LiveRigRoundTrip, SchedulerMidRun)
-{
-    runApp(eternityWarrior2App(), msToTicks(300));
-    plat.sync();
-    expectRoundTrip(sched);
-}
-
-TEST_F(LiveRigRoundTrip, FpsAppInstanceMidRun)
-{
-    runApp(angryBirdApp(), msToTicks(300));
-    expectRoundTrip(*instance);
-}
-
-TEST_F(LiveRigRoundTrip, LatencyAppInstanceMidRun)
-{
-    runApp(virusScannerApp(), msToTicks(300));
-    expectRoundTrip(*instance);
-}
-
-TEST_F(LiveRigRoundTrip, FaultInjectorMidChaosRun)
-{
-    FaultInjector injector(sim, plat, sched,
-                           scaledFaultParams(2.0, 17));
-    injector.start();
-    runApp(eternityWarrior2App(), msToTicks(400));
-    injector.stop();
-    EXPECT_GT(injector.stats().totalInjected(), 0u);
-    expectRoundTrip(injector);
-}
-
 TEST_F(LiveRigRoundTrip, EventQueueDigestIsRunStable)
 {
-    // The queue serializes a digest of its pending closures, which
-    // cannot round-trip; instead the property is determinism: two
+    // The queue serializes a digest of its pending closures; two
     // identical runs must serialize identical bytes.
     runApp(eternityWarrior2App(), msToTicks(250));
     Serializer a;

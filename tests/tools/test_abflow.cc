@@ -512,7 +512,7 @@ TEST(AbflowProfile, PerRuleTimingsAreRecorded)
 TEST(AbflowMeta, RepoIsFlowClean)
 {
     const auto findings =
-        ablint::runOnRepo(ABLINT_REPO_ROOT, "", "", "", {});
+        ablint::runOnRepo(ABLINT_REPO_ROOT, "", "", {});
     std::size_t flowFindings = 0;
     for (const auto &f : findings) {
         if (f.rule == "taint-bound" || f.rule == "unit-mix" ||

@@ -29,19 +29,13 @@
  * definitions, an #include graph - see model.hh):
  *
  *  - serialize-coverage  every class defining serialize()/
- *                    serializePolicy()/serializeState() defines the
- *                    matching deserialize flavor and is registered in
- *                    tools/ablint/serialized_state.txt against the
+ *                    serializePolicy()/serializeState() is registered
+ *                    in tools/ablint/serialized_state.txt against the
  *                    checkpoint section (or covering parent) that
- *                    captures it, every registry entry is live,
+ *                    captures it, every registry entry is live, and
  *                    every plain-value data member of a registered
- *                    class is referenced by both serialize() and
- *                    deserialize(), and the two bodies emit/consume
- *                    the same wire-op sequence;
- *  - schema-drift    the per-class field-schema digests committed in
- *                    tools/ablint/state_schema.txt match the code,
- *                    and field changes come with a checkpointVersion
- *                    bump (regenerate via `ablint --write-schema`);
+ *                    class is written by one of its serialize
+ *                    flavors;
  *  - rng-stream      every Rng constructed with an explicit seed in
  *                    sim code traces that seed to deriveStreamSeed()
  *                    / namedStream() / fork();
@@ -172,9 +166,6 @@ struct ScanInput
 
     /** tools/ablint/serialized_state.txt contents. */
     std::string registryText;
-
-    /** tools/ablint/state_schema.txt contents (schema-drift). */
-    std::string schemaText;
 };
 
 /**
@@ -204,9 +195,9 @@ std::vector<Finding> runRules(const ScanInput &in,
 
 /**
  * Run the semantic (entity-model) rules: serialize-coverage,
- * schema-drift, rng-stream, layer-cycle.  Builds the
- * model (tools/ablint/model.hh) from @p in internally and feeds the
- * same Finding / inline-allow machinery as runRules().
+ * rng-stream, layer-cycle.  Builds the model (tools/ablint/model.hh)
+ * from @p in internally and feeds the same Finding / inline-allow
+ * machinery as runRules().
  */
 std::vector<Finding> runSemaRules(const ScanInput &in,
                                   AllowUse *uses = nullptr,
@@ -238,23 +229,6 @@ std::vector<Finding> runAllRules(const ScanInput &in,
                                  RuleProfile *profile = nullptr);
 
 /**
- * Render the state-schema manifest (tools/ablint/state_schema.txt):
- * the current checkpointVersion plus one fnv1a64 field digest per
- * registered serialized class, sorted by class name.  Deterministic,
- * so CI can regenerate and diff.
- */
-std::string renderSchemaManifest(const ScanInput &in);
-
-/**
- * Guard for --write-schema: returns an error message (and the
- * regeneration must be refused) when the committed manifest was
- * written at the *current* checkpointVersion yet class digests
- * changed - the caller must bump checkpointVersion first.  Empty
- * string means regeneration is fine.
- */
-std::string schemaRegenBlocked(const ScanInput &in);
-
-/**
  * Apply the baseline: drop findings matched by a `path:line:rule`
  * entry; append a `stale-baseline` finding for every entry that
  * matched nothing or references a line past the end of its file.
@@ -269,12 +243,11 @@ const std::vector<std::string> &ruleNames();
 
 /**
  * Lex src/ and tests/ (plus @p extraPaths) of a repo checkout and
- * load the docs corpus, the serialization registry and the schema
- * manifest.  I/O failures throw std::runtime_error.
+ * load the docs corpus and the serialization registry.  I/O failures
+ * throw std::runtime_error.
  */
 ScanInput loadRepo(const std::string &repoRoot,
                    const std::string &registryPath,
-                   const std::string &schemaPath,
                    const std::vector<std::string> &extraPaths);
 
 /**
@@ -285,7 +258,6 @@ ScanInput loadRepo(const std::string &repoRoot,
 std::vector<Finding> runOnRepo(const std::string &repoRoot,
                                const std::string &baselinePath,
                                const std::string &registryPath,
-                               const std::string &schemaPath,
                                const std::vector<std::string> &extraPaths,
                                RuleProfile *profile = nullptr);
 

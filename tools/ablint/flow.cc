@@ -28,7 +28,7 @@ const std::set<std::string> &
 taintingReads()
 {
     static const std::set<std::string> s = {"getU64", "getU32",
-                                            "getI64", "getU8"};
+                                            "getI64"};
     return s;
 }
 

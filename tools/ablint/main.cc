@@ -2,17 +2,14 @@
  * @file
  * ablint CLI.
  *
- *   ablint --repo <root> [--baseline F] [--registry F] [--schema F]
- *          [--write-baseline F] [--write-schema] [--format=FMT]
- *          [--profile] [--list-rules] [extra paths...]
+ *   ablint --repo <root> [--baseline F] [--registry F]
+ *          [--write-baseline F] [--format=FMT] [--profile]
+ *          [--list-rules] [extra paths...]
  *
  * --format is text (default), github (::error workflow commands for
  * inline PR annotations) or json (one array of finding objects).
  * --profile prints per-rule wall time (ms, slowest first) to stderr
  * after the findings - CI budgets the lint step with it.
- * --write-schema regenerates tools/ablint/state_schema.txt from the
- * current sources - refused when field digests changed without a
- * checkpointVersion bump (the drift the manifest exists to catch).
  *
  * Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
  */
@@ -35,10 +32,8 @@ main(int argc, char **argv)
     std::string repo = ".";
     std::string baseline;
     std::string registry;
-    std::string schema;
     std::string writeBaseline;
     std::string format = "text";
-    bool writeSchema = false;
     bool profile = false;
     std::vector<std::string> extras;
 
@@ -59,12 +54,8 @@ main(int argc, char **argv)
             baseline = value();
         } else if (arg == "--registry") {
             registry = value();
-        } else if (arg == "--schema") {
-            schema = value();
         } else if (arg == "--write-baseline") {
             writeBaseline = value();
-        } else if (arg == "--write-schema") {
-            writeSchema = true;
         } else if (arg == "--profile") {
             profile = true;
         } else if (arg == "--format") {
@@ -78,9 +69,8 @@ main(int argc, char **argv)
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
                 "usage: ablint [--repo ROOT] [--baseline FILE]\n"
-                "              [--registry FILE] [--schema FILE]\n"
-                "              [--write-baseline FILE] "
-                "[--write-schema]\n"
+                "              [--registry FILE] "
+                "[--write-baseline FILE]\n"
                 "              [--format=text|github|json] "
                 "[--profile]\n"
                 "              [--list-rules] [extra paths...]\n"
@@ -105,40 +95,10 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (writeSchema) {
-        const std::string schemaPath =
-            schema.empty() ? repo + "/tools/ablint/state_schema.txt"
-                           : schema;
-        try {
-            const ScanInput in =
-                loadRepo(repo, registry, schemaPath, extras);
-            const std::string blocked = schemaRegenBlocked(in);
-            if (!blocked.empty()) {
-                std::fprintf(stderr, "ablint: %s\n",
-                             blocked.c_str());
-                return 2;
-            }
-            std::ofstream out(schemaPath);
-            if (!out) {
-                std::fprintf(stderr,
-                             "ablint: cannot write schema '%s'\n",
-                             schemaPath.c_str());
-                return 2;
-            }
-            out << renderSchemaManifest(in);
-            std::printf("ablint: wrote %s\n", schemaPath.c_str());
-            return 0;
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "%s\n", e.what());
-            return 2;
-        }
-    }
-
     std::vector<Finding> findings;
     RuleProfile ruleProfile;
     try {
-        findings = runOnRepo(repo, baseline, registry, schema,
-                             extras,
+        findings = runOnRepo(repo, baseline, registry, extras,
                              profile ? &ruleProfile : nullptr);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "%s\n", e.what());

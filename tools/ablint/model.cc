@@ -760,15 +760,4 @@ buildModel(const std::vector<LexedFile> &files)
     return m;
 }
 
-std::uint64_t
-fnv1a64(const std::string &text)
-{
-    std::uint64_t hash = 14695981039346656037ull;
-    for (const char c : text) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
-
 } // namespace biglittle::ablint

@@ -26,7 +26,6 @@
 
 #include "ablint.hh"
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -111,9 +110,6 @@ struct Model
 
 /** Parse every file of @p files into one model. */
 Model buildModel(const std::vector<LexedFile> &files);
-
-/** fnv1a64 of @p text (schema digests; stable across platforms). */
-std::uint64_t fnv1a64(const std::string &text);
 
 } // namespace biglittle::ablint
 

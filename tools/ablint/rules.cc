@@ -521,8 +521,8 @@ ruleNames()
         "static-mutable", "void-discard",   "config-key",
         "post-init-fatal", "stale-baseline",
         // absema (semantic) rules, sema_rules.cc:
-        "serialize-coverage", "schema-drift", "rng-stream",
-        "layer-cycle", "stale-allow",
+        "serialize-coverage", "rng-stream", "layer-cycle",
+        "stale-allow",
         // abflow (dataflow) rules, flow_rules.cc:
         "taint-bound", "unit-mix", "status-drop",
     };

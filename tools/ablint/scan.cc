@@ -70,7 +70,6 @@ collectDir(const fs::path &root, const fs::path &dir,
 ScanInput
 loadRepo(const std::string &repoRoot,
          const std::string &registryPath,
-         const std::string &schemaPath,
          const std::vector<std::string> &extraPaths)
 {
     const fs::path root(repoRoot);
@@ -128,26 +127,17 @@ loadRepo(const std::string &repoRoot,
     if (fs::exists(registry))
         in.registryText = readFile(registry);
 
-    const fs::path schema =
-        schemaPath.empty()
-            ? root / "tools" / "ablint" / "state_schema.txt"
-            : fs::path(schemaPath);
-    if (fs::exists(schema))
-        in.schemaText = readFile(schema);
-
     return in;
 }
 
 std::vector<Finding>
 runOnRepo(const std::string &repoRoot, const std::string &baselinePath,
           const std::string &registryPath,
-          const std::string &schemaPath,
           const std::vector<std::string> &extraPaths,
           RuleProfile *profile)
 {
     const fs::path root(repoRoot);
-    const ScanInput in =
-        loadRepo(repoRoot, registryPath, schemaPath, extraPaths);
+    const ScanInput in = loadRepo(repoRoot, registryPath, extraPaths);
 
     const std::vector<Finding> raw = runAllRules(in, profile);
 

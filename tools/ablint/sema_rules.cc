@@ -5,16 +5,11 @@
  * invariants ablint's lexical rules cannot see:
  *
  *  - serialize-coverage  every class that defines a serialize flavor
- *                        defines its deserialize twin and is
- *                        registered in serialized_state.txt, every
- *                        registry entry is live, every plain-value
- *                        data member of a registered class is
- *                        referenced by both the serialize and
- *                        deserialize bodies, and the two emit the
- *                        same wire-op sequence;
- *  - schema-drift        the committed per-class field digests
- *                        (state_schema.txt) match the code, and field
- *                        changes come with a checkpointVersion bump;
+ *                        is registered in serialized_state.txt, every
+ *                        registry entry is live, and every
+ *                        plain-value data member of a registered
+ *                        class is written by one of its serialize
+ *                        flavors;
  *  - rng-stream          explicit Rng seeds trace to
  *                        deriveStreamSeed()/namedStream()/fork();
  *  - layer-cycle         the #include graph respects the src/ layer
@@ -30,7 +25,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <iomanip>
 #include <sstream>
 #include <tuple>
 
@@ -43,7 +37,6 @@ namespace
 using detail::Sink;
 using detail::isIdent;
 using detail::isPunct;
-using detail::lineAllows;
 
 /** One parsed line of serialized_state.txt. */
 struct RegistryEntry
@@ -74,24 +67,17 @@ parseRegistry(const std::string &text)
     return entries;
 }
 
-std::string
-hex16(std::uint64_t v)
-{
-    std::ostringstream out;
-    out << std::hex << std::setw(16) << std::setfill('0') << v;
-    return out.str();
-}
-
 /* ------------------------------------------------------------------ */
 /* serialize-coverage                                                  */
 /* ------------------------------------------------------------------ */
 
 /**
  * Members outside the wire contract: statics/constexpr, pointers and
- * references (wiring, re-established on restore), const members
- * (construction-time config), std::function callbacks, and *Params /
- * *Spec config structs (restore rebuilds the component tree from the
- * same experiment config before deserializing state into it).
+ * references (wiring), const members (construction-time config),
+ * std::function callbacks, and *Params / *Spec config structs.
+ * Resume and rollback rebuild the component tree from the same
+ * experiment config and re-execute, so all of these are re-created
+ * rather than read from a checkpoint.
  */
 bool
 memberExempt(const Member &mem)
@@ -119,18 +105,9 @@ memberExempt(const Member &mem)
     return false;
 }
 
-/** The serialize/deserialize flavor pairs a class may implement. */
-struct Flavor
-{
-    const char *put;
-    const char *get;
-};
-
-constexpr Flavor flavors[] = {
-    {"serialize", "deserialize"},
-    {"serializeState", "deserializeState"},
-    {"serializePolicy", "deserializePolicy"},
-};
+/** The serialize flavors a class may implement. */
+constexpr const char *flavors[] = {
+    "serialize", "serializeState", "serializePolicy"};
 
 const FunctionDef *
 classFn(const Model &m, const ClassInfo &cls, const std::string &name)
@@ -144,6 +121,18 @@ classFn(const Model &m, const ClassInfo &cls, const std::string &name)
             return &m.functions[idx];
     }
     return nullptr;
+}
+
+/** The serialize flavors @p cls defines, in flavors[] order. */
+std::vector<const FunctionDef *>
+serializers(const Model &m, const ClassInfo &cls)
+{
+    std::vector<const FunctionDef *> out;
+    for (const char *name : flavors) {
+        if (const FunctionDef *fn = classFn(m, cls, name))
+            out.push_back(fn);
+    }
+    return out;
 }
 
 bool
@@ -160,61 +149,10 @@ bodyReferences(const FunctionDef &fn, const std::string &name)
 }
 
 /**
- * Canonical wire-op name for a callee on the write (@p put) or read
- * side.  getCount() pairs with putU64() by the Serializer's own
- * contract; a nested serialize/deserialize (any flavor) is one "sub"
- * op.  Empty string: not a wire op.
+ * Member coverage: each plain-value member of a registered class is
+ * referenced by one of its serialize flavors (base/derived flavors
+ * split the state between them).
  */
-std::string
-wireOp(const std::string &callee, bool put)
-{
-    static const std::map<std::string, std::string> putMap = {
-        {"putU64", "u64"},   {"putU32", "u32"},
-        {"putU8", "u8"},     {"putI64", "i64"},
-        {"putDouble", "f64"}, {"putString", "str"},
-        {"putBool", "bool"}, {"putBytes", "bytes"},
-        {"serialize", "sub"}, {"serializeState", "sub"},
-        {"serializePolicy", "sub"},
-    };
-    static const std::map<std::string, std::string> getMap = {
-        {"getU64", "u64"},   {"getCount", "u64"},
-        {"getU32", "u32"},   {"getU8", "u8"},
-        {"getI64", "i64"},   {"getDouble", "f64"},
-        {"getString", "str"}, {"getBool", "bool"},
-        {"getBytes", "bytes"},
-        {"deserialize", "sub"}, {"deserializeState", "sub"},
-        {"deserializePolicy", "sub"},
-    };
-    const auto &table = put ? putMap : getMap;
-    const auto it = table.find(callee);
-    return it == table.end() ? std::string() : it->second;
-}
-
-struct WireSite
-{
-    std::string op;
-    std::string callee;
-    int line = 0;
-};
-
-std::vector<WireSite>
-wireOps(const FunctionDef &fn, bool put)
-{
-    std::vector<WireSite> ops;
-    const auto &toks = fn.file->tokens;
-    for (std::size_t i = fn.bodyBegin;
-         i + 1 < fn.bodyEnd && i + 1 < toks.size(); ++i) {
-        if (toks[i].kind != TokKind::identifier ||
-            !isPunct(toks[i + 1], '('))
-            continue;
-        std::string op = wireOp(toks[i].text, put);
-        if (!op.empty())
-            ops.push_back({std::move(op), toks[i].text,
-                           toks[i].line});
-    }
-    return ops;
-}
-
 void
 serializeCoverage(const Model &m,
                   const std::vector<RegistryEntry> &reg,
@@ -224,84 +162,24 @@ serializeCoverage(const Model &m,
         const ClassInfo *cls = m.findClass(entry.className);
         if (cls == nullptr || cls->file->isTest)
             continue;
-        std::vector<std::pair<const FunctionDef *,
-                              const FunctionDef *>> pairs;
-        for (const Flavor &fl : flavors) {
-            const FunctionDef *put = classFn(m, *cls, fl.put);
-            const FunctionDef *get = classFn(m, *cls, fl.get);
-            if (put != nullptr && get != nullptr)
-                pairs.push_back({put, get});
-        }
-        if (pairs.empty())
+        const auto puts = serializers(m, *cls);
+        if (puts.empty())
             continue;
-
-        // Member coverage: each plain-value member must be touched
-        // by some write body and some read body (base/derived
-        // flavors split the state between them).
         for (const Member &mem : cls->members) {
             if (memberExempt(mem))
                 continue;
             bool written = false;
-            bool read = false;
-            for (const auto &[put, get] : pairs) {
+            for (const FunctionDef *put : puts)
                 written = written || bodyReferences(*put, mem.name);
-                read = read || bodyReferences(*get, mem.name);
-            }
-            if (written && read)
-                continue;
-            std::string msg = "member '" + mem.name + "' of '" +
-                              cls->qualName + "' is ";
             if (written)
-                msg += "written by " +
-                       std::string(pairs[0].first->name) +
-                       "() but never read back on restore";
-            else if (read)
-                msg += "read on restore but never written by " +
-                       std::string(pairs[0].first->name) + "()";
-            else
-                msg += "not referenced by its serialize/deserialize "
-                       "pair";
-            msg += "; serialize it (and bump checkpointVersion) or "
-                   "justify with an inline allow";
-            sink.add(*cls->file, mem.line, "serialize-coverage",
-                     msg);
-        }
-
-        // Wire symmetry: the ordered op sequence emitted by the
-        // write body must equal the one consumed by the read body.
-        for (const auto &[put, get] : pairs) {
-            const auto wr = wireOps(*put, true);
-            const auto rd = wireOps(*get, false);
-            const std::size_t common =
-                std::min(wr.size(), rd.size());
-            std::size_t k = 0;
-            while (k < common && wr[k].op == rd[k].op)
-                ++k;
-            if (k == wr.size() && k == rd.size())
                 continue;
-            std::ostringstream msg;
-            msg << "wire-format mismatch between "
-                << cls->qualName << "::" << put->name << " and "
-                << cls->qualName << "::" << get->name << ": ";
-            if (k < common) {
-                msg << "op " << (k + 1) << " writes '"
-                    << wr[k].callee << "' (line " << wr[k].line
-                    << ") but reads '" << rd[k].callee
-                    << "' (line " << rd[k].line << ")";
-            } else if (wr.size() > rd.size()) {
-                msg << "write side emits " << wr.size()
-                    << " wire ops, read side consumes "
-                    << rd.size() << " (first unread: '"
-                    << wr[k].callee << "' at line " << wr[k].line
-                    << ")";
-            } else {
-                msg << "read side consumes " << rd.size()
-                    << " wire ops, write side emits " << wr.size()
-                    << " (first unmatched read: '" << rd[k].callee
-                    << "' at line " << rd[k].line << ")";
-            }
-            sink.add(*put->file, put->line, "serialize-coverage",
-                     msg.str());
+            sink.add(*cls->file, mem.line, "serialize-coverage",
+                     "member '" + mem.name + "' of '" +
+                         cls->qualName + "' is not written by " +
+                         puts[0]->name +
+                         "(); serialize it (and bump "
+                         "checkpointVersion) or justify with an "
+                         "inline allow");
         }
     }
 }
@@ -311,11 +189,10 @@ constexpr const char *registryPathName =
 
 /**
  * The registry, both ways.  Every src/ class that defines a
- * serialize flavor defines the matching deserialize flavor and is
- * registered; every entry names such a class, and its cover is a
- * registered class or a checkpoint section string literal in src/.
- * So new state cannot ship without naming the section that captures
- * it.
+ * serialize flavor is registered; every entry names such a class,
+ * and its cover is a registered class or a checkpoint section string
+ * literal in src/.  So new state cannot ship without naming the
+ * section that captures it.
  */
 void
 serializeRegistry(const ScanInput &in, const Model &m,
@@ -330,23 +207,10 @@ serializeRegistry(const ScanInput &in, const Model &m,
     }
     std::set<const ClassInfo *> serializable;
     for (const ClassInfo &cls : m.classes) {
-        if (cls.file->isTest)
+        if (cls.file->isTest || serializers(m, cls).empty())
             continue;
-        for (const Flavor &fl : flavors) {
-            const FunctionDef *put = classFn(m, cls, fl.put);
-            if (put == nullptr)
-                continue;
-            serializable.insert(&cls);
-            if (classFn(m, cls, fl.get) == nullptr) {
-                sink.add(*put->file, put->line, "serialize-coverage",
-                         "'" + cls.qualName + "' defines " + fl.put +
-                             "() without " + fl.get +
-                             "(): state would be captured but not "
-                             "restorable");
-            }
-        }
-        if (serializable.count(&cls) > 0 &&
-            registered.count(&cls) == 0) {
+        serializable.insert(&cls);
+        if (registered.count(&cls) == 0) {
             sink.add(*cls.file, cls.line, "serialize-coverage",
                      "serializable class '" + cls.qualName +
                          "' is not registered in " +
@@ -382,168 +246,6 @@ serializeRegistry(const ScanInput &in, const Model &m,
                                "' is neither a registered class nor "
                                "a checkpoint section string literal "
                                "in src/"});
-        }
-    }
-}
-
-/* ------------------------------------------------------------------ */
-/* schema-drift                                                        */
-/* ------------------------------------------------------------------ */
-
-constexpr const char *schemaPathName =
-    "tools/ablint/state_schema.txt";
-
-struct Manifest
-{
-    bool present = false;
-    bool hasVersion = false;
-    std::uint64_t version = 0;
-    int versionLine = 0;
-
-    /** class name -> (hex digest, manifest line). */
-    std::map<std::string, std::pair<std::string, int>> digests;
-};
-
-Manifest
-parseManifest(const std::string &text)
-{
-    Manifest man;
-    std::istringstream in(text);
-    std::string line;
-    int lineNo = 0;
-    while (std::getline(in, line)) {
-        ++lineNo;
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        std::istringstream fields(line);
-        std::string a, b;
-        if (!(fields >> a))
-            continue;
-        man.present = true;
-        if (a == "version") {
-            if (fields >> b) {
-                man.hasVersion = true;
-                man.version = std::stoull(b);
-                man.versionLine = lineNo;
-            }
-            continue;
-        }
-        if (fields >> b)
-            man.digests[a] = {b, lineNo};
-    }
-    return man;
-}
-
-/**
- * The field-schema digest of one registered class: fnv1a64 over the
- * declaration-ordered name:type lines of its wire members (the same
- * set serialize-coverage polices: plain-value members without an
- * inline serialize-coverage allow).
- */
-std::uint64_t
-classDigest(const ClassInfo &cls)
-{
-    std::string text = cls.qualName + "\n";
-    for (const Member &mem : cls.members) {
-        if (memberExempt(mem))
-            continue;
-        if (lineAllows(*cls.file, mem.line, "serialize-coverage"))
-            continue;
-        text += mem.name + ":" + mem.type + "\n";
-    }
-    return fnv1a64(text);
-}
-
-/** Digests of every registry class the model can see. */
-std::map<std::string, std::pair<std::uint64_t, const ClassInfo *>>
-computeDigests(const Model &m,
-               const std::vector<RegistryEntry> &reg)
-{
-    std::map<std::string, std::pair<std::uint64_t, const ClassInfo *>>
-        out;
-    for (const auto &entry : reg) {
-        const ClassInfo *cls = m.findClass(entry.className);
-        if (cls == nullptr || cls->file->isTest)
-            continue;
-        out[entry.className] = {classDigest(*cls), cls};
-    }
-    return out;
-}
-
-/** checkpointVersion from src/snapshot/checkpoint.hh, or -1. */
-long long
-findCheckpointVersion(const ScanInput &in)
-{
-    for (const LexedFile &f : in.files) {
-        if (f.path.find("snapshot/checkpoint.hh") ==
-            std::string::npos)
-            continue;
-        const auto &toks = f.tokens;
-        for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-            if (isIdent(toks[i], "checkpointVersion") &&
-                isPunct(toks[i + 1], '=') &&
-                toks[i + 2].kind == TokKind::number)
-                return std::stoll(toks[i + 2].text);
-        }
-    }
-    return -1;
-}
-
-void
-schemaDrift(const ScanInput &in, const Model &m,
-            const std::vector<RegistryEntry> &reg,
-            Sink &sink, std::vector<Finding> &out)
-{
-    const auto digests = computeDigests(m, reg);
-    if (digests.empty())
-        return; // nothing serialized in this input
-    const Manifest man = parseManifest(in.schemaText);
-    if (!man.present) {
-        out.push_back({schemaPathName, 1, "schema-drift",
-                       "missing or empty state_schema.txt; generate "
-                       "it with `ablint --write-schema`"});
-        return;
-    }
-    const long long version = findCheckpointVersion(in);
-    if (version >= 0 && man.hasVersion &&
-        man.version != static_cast<std::uint64_t>(version)) {
-        std::ostringstream msg;
-        msg << "manifest was written at checkpointVersion "
-            << man.version << " but src/snapshot/checkpoint.hh says "
-            << version << "; rerun `ablint --write-schema`";
-        out.push_back({schemaPathName, man.versionLine,
-                       "schema-drift", msg.str()});
-        return; // per-class diffs would only repeat the story
-    }
-    for (const auto &[name, entry] : digests) {
-        const auto &[digest, cls] = entry;
-        const auto it = man.digests.find(name);
-        if (it == man.digests.end()) {
-            sink.add(*cls->file, cls->line, "schema-drift",
-                     "serialized class '" + name +
-                         "' has no digest in state_schema.txt; run "
-                         "`ablint --write-schema`");
-            continue;
-        }
-        if (it->second.first != hex16(digest)) {
-            sink.add(*cls->file, cls->line, "schema-drift",
-                     "field schema of '" + name +
-                         "' changed (digest " + hex16(digest) +
-                         ", manifest has " + it->second.first +
-                         ") without a checkpointVersion bump; bump "
-                         "checkpointVersion in "
-                         "src/snapshot/checkpoint.hh, then run "
-                         "`ablint --write-schema`");
-        }
-    }
-    for (const auto &[name, entry] : man.digests) {
-        if (digests.count(name) == 0) {
-            out.push_back(
-                {schemaPathName, entry.second, "schema-drift",
-                 "stale manifest entry '" + name +
-                     "' (class gone or unregistered); run `ablint "
-                     "--write-schema`"});
         }
     }
 }
@@ -794,8 +496,6 @@ runSemaRules(const ScanInput &in, AllowUse *uses,
         serializeRegistry(in, m, reg, sink, out);
         serializeCoverage(m, reg, sink);
     });
-    detail::timeRule(profile, "schema-drift",
-                     [&] { schemaDrift(in, m, reg, sink, out); });
     detail::timeRule(profile, "rng-stream",
                      [&] { rngStream(in, sink); });
     detail::timeRule(profile, "layer-cycle",
@@ -865,60 +565,6 @@ runAllRules(const ScanInput &in, RuleProfile *profile)
                                   b.message);
               });
     return out;
-}
-
-std::string
-renderSchemaManifest(const ScanInput &in)
-{
-    const Model m = buildModel(in.files);
-    const auto reg = parseRegistry(in.registryText);
-    const auto digests = computeDigests(m, reg);
-    const long long version = findCheckpointVersion(in);
-    std::ostringstream out;
-    out << "# ablint state-schema manifest - regenerate with: "
-           "ablint --write-schema\n"
-        << "# One fnv1a64 digest per serialized class, over its "
-           "declaration-ordered\n"
-        << "# name:type wire-field list.  A digest change without a "
-           "checkpointVersion\n"
-        << "# bump is a schema-drift finding "
-           "(docs/STATIC_ANALYSIS.md).\n"
-        << "version " << (version < 0 ? 0 : version) << "\n";
-    for (const auto &[name, entry] : digests)
-        out << name << " " << hex16(entry.first) << "\n";
-    return out.str();
-}
-
-std::string
-schemaRegenBlocked(const ScanInput &in)
-{
-    const Manifest man = parseManifest(in.schemaText);
-    if (!man.present || !man.hasVersion)
-        return ""; // first generation is always fine
-    const long long version = findCheckpointVersion(in);
-    if (version < 0 ||
-        man.version != static_cast<std::uint64_t>(version))
-        return ""; // version was bumped: regen is the point
-    const Model m = buildModel(in.files);
-    const auto reg = parseRegistry(in.registryText);
-    const auto digests = computeDigests(m, reg);
-    std::string changed;
-    for (const auto &[name, entry] : digests) {
-        const auto it = man.digests.find(name);
-        if (it != man.digests.end() &&
-            it->second.first != hex16(entry.first)) {
-            if (!changed.empty())
-                changed += ", ";
-            changed += name;
-        }
-    }
-    if (changed.empty())
-        return "";
-    return "state_schema.txt: field digests changed for {" +
-           changed + "} but checkpointVersion is still " +
-           std::to_string(version) +
-           "; bump checkpointVersion in src/snapshot/checkpoint.hh "
-           "before regenerating";
 }
 
 } // namespace biglittle::ablint

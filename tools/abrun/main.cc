@@ -13,12 +13,13 @@
  *   1   the supervisor exhausted its escalation ladder (permanent)
  *   2   CLI usage error (permanent)
  *   3   unwritable report path (permanent)
- *   86  watchdog: the child stalled past its wall-clock limit
- *       (transient - retried with backoff)
  *
- * A child killed by a signal (crash, OOM kill, the hard alarm) is
- * also transient: the cell is retried with exponential backoff up to
- * --retries times before it is declared lost.  The sweep report
+ * A child killed by a signal (crash, OOM kill, the --alarm-sec hard
+ * alarm) is transient: the cell is retried with exponential backoff
+ * up to --retries times before it is declared lost.  A watchdog trip
+ * never exits a cell: Supervisor::run makes it a rollback trigger
+ * inside the child, and a chunk that never returns to trip at is
+ * ended by the alarm.  The sweep report
  * aggregates every cell; the tool exits 0 iff no cell was lost.
  *
  * A cell's periodic checkpoints stay in its memory as rollback
@@ -48,7 +49,6 @@
 #include "base/argparse.hh"
 #include "base/exit_codes.hh"
 #include "base/strutil.hh"
-#include "snapshot/watchdog.hh"
 #include "supervise/supervisor.hh"
 #include "workload/apps.hh"
 
@@ -175,14 +175,6 @@ readOutcome(const std::string &path)
     return "";
 }
 
-bool
-transientExit(int status)
-{
-    if (WIFSIGNALED(status))
-        return true; // crash / alarm / OOM kill
-    return WIFEXITED(status) && WEXITSTATUS(status) == watchdogExitCode;
-}
-
 } // namespace
 
 int
@@ -202,9 +194,8 @@ main(int argc, char **argv)
     args.addString("report-dir", "abrun-reports",
                    "directory for cell reports and the sweep report");
     args.addInt("retries", 2,
-                "transient-failure retries per cell (watchdog "
-                "trips and signals; permanent exits are not "
-                "retried)");
+                "transient-failure retries per cell (signals, "
+                "including the alarm; exits are not retried)");
     args.addInt("jobs", 4, "concurrent cell processes");
     args.addInt("alarm-sec", 300,
                 "hard wall-clock kill switch per cell attempt");
@@ -390,17 +381,14 @@ main(int argc, char **argv)
             cell.done = true;
             cell.outcome = readOutcome(cellReportPath(
                 opt, opt.apps[cell.appIndex], cell.seed));
-        } else if (transientExit(status) &&
+        } else if (WIFSIGNALED(status) && // crash / alarm / OOM kill
                    cell.attempts <= opt.retries) {
             std::fprintf(stderr,
                          "abrun: cell %s seed %llu transient "
-                         "failure (%s %d), retry %u/%u\n",
+                         "failure (signal %d), retry %u/%u\n",
                          opt.apps[cell.appIndex].name.c_str(),
                          static_cast<unsigned long long>(cell.seed),
-                         WIFSIGNALED(status) ? "signal" : "exit",
-                         WIFSIGNALED(status) ? WTERMSIG(status)
-                                             : WEXITSTATUS(status),
-                         cell.attempts, opt.retries);
+                         WTERMSIG(status), cell.attempts, opt.retries);
             // Exponential backoff before the retry forks: the
             // failure may have been resource pressure from the
             // sweep itself.
