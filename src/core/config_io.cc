@@ -1,6 +1,8 @@
 #include "core/config_io.hh"
 
+#include <charconv>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -33,6 +35,18 @@ governorKindFromName(const std::string &name)
 
 namespace
 {
+
+/**
+ * @p v in the shortest form strtod() reads back bit for bit; %g
+ * keeps only six significant digits.
+ */
+std::string
+exactDouble(double v)
+{
+    char buf[32];
+    const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+    return std::string(buf, r.ptr);
+}
 
 std::string
 trim(const std::string &s)
@@ -90,14 +104,16 @@ applyKey(ExperimentConfig &cfg, int line_no, const std::string &key,
         }
         return r.value();
     };
-    // Unsigned fields go through unum(): casting a negative or huge
-    // double straight to an unsigned type is undefined behavior, so
-    // out-of-range values must be rejected before the cast.
-    const auto unum = [&]() -> std::uint64_t {
+    // Unsigned fields go through unum(max): casting a negative or
+    // huge double straight to an unsigned type is undefined behavior,
+    // and a value above @p max would wrap when narrowed to its field
+    // or scaled into ticks, so both are rejected before the cast.
+    const auto unum = [&](std::uint64_t max) -> std::uint64_t {
         const double v = num();
         if (!st.ok())
             return 0;
-        if (!(v >= 0.0) || v >= 18446744073709551616.0) {
+        if (!(v >= 0.0) || v >= 18446744073709551616.0 ||
+            static_cast<std::uint64_t>(v) > max) {
             st = invalidArgument(format(
                 "config line %d: key '%s': '%s' is out of range",
                 line_no, key.c_str(), value.c_str()));
@@ -105,6 +121,15 @@ applyKey(ExperimentConfig &cfg, int line_no, const std::string &key,
         }
         return static_cast<std::uint64_t>(v);
     };
+    const auto u32 = [&] {
+        return static_cast<std::uint32_t>(
+            unum(std::numeric_limits<std::uint32_t>::max()));
+    };
+    const auto u64 = [&] {
+        return unum(std::numeric_limits<std::uint64_t>::max());
+    };
+    const auto msTicks = [&] { return msToTicks(unum(maxTick / oneMs)); };
+    const auto usTicks = [&] { return usToTicks(unum(maxTick / oneUs)); };
     const auto boolean = [&]() -> bool {
         Result<bool> r = parseBool(line_no, key, value);
         if (!r.ok()) {
@@ -133,7 +158,7 @@ applyKey(ExperimentConfig &cfg, int line_no, const std::string &key,
     } else if (key == "label") {
         cfg.label = value;
     } else if (key == "interactive.sampling_ms") {
-        cfg.interactive.samplingRate = msToTicks(unum());
+        cfg.interactive.samplingRate = msTicks();
         require(cfg.interactive.samplingRate > 0, "at least 1");
     } else if (key == "interactive.target_load") {
         cfg.interactive.targetLoad = num();
@@ -145,24 +170,21 @@ applyKey(ExperimentConfig &cfg, int line_no, const std::string &key,
     } else if (key == "interactive.hispeed_fraction") {
         cfg.interactive.hispeedFraction = num();
     } else if (key == "sched.up_threshold") {
-        cfg.sched.upThreshold = static_cast<std::uint32_t>(unum());
+        cfg.sched.upThreshold = u32();
     } else if (key == "sched.down_threshold") {
-        cfg.sched.downThreshold = static_cast<std::uint32_t>(unum());
+        cfg.sched.downThreshold = u32();
     } else if (key == "sched.half_life_ms") {
         cfg.sched.loadHalfLifeMs = num();
         require(cfg.sched.loadHalfLifeMs > 0.0, "above 0");
     } else if (key == "sched.timeslice_ms") {
-        cfg.sched.timeslice =
-            msToTicks(unum());
+        cfg.sched.timeslice = msTicks();
         require(cfg.sched.timeslice > 0, "at least 1");
     } else if (key == "sched.boost_khz") {
-        cfg.sched.upMigrationBoostFreq =
-            static_cast<FreqKHz>(unum());
+        cfg.sched.upMigrationBoostFreq = u32();
     } else if (key == "cores.little") {
-        cfg.coreConfig.littleCores =
-            static_cast<std::uint32_t>(unum());
+        cfg.coreConfig.littleCores = u32();
     } else if (key == "cores.big") {
-        cfg.coreConfig.bigCores = static_cast<std::uint32_t>(unum());
+        cfg.coreConfig.bigCores = u32();
     } else if (key == "thermal.enabled") {
         cfg.thermalEnabled = boolean();
     } else if (key == "thermal.hot_trip_c") {
@@ -170,26 +192,23 @@ applyKey(ExperimentConfig &cfg, int line_no, const std::string &key,
     } else if (key == "thermal.cool_trip_c") {
         cfg.thermal.coolTripC = num();
     } else if (key == "userspace.little_khz") {
-        cfg.userspaceLittleFreq = static_cast<FreqKHz>(unum());
+        cfg.userspaceLittleFreq = u32();
     } else if (key == "userspace.big_khz") {
-        cfg.userspaceBigFreq = static_cast<FreqKHz>(unum());
+        cfg.userspaceBigFreq = u32();
     } else if (key == "sample_window_ms") {
-        cfg.sampleWindow =
-            msToTicks(unum());
+        cfg.sampleWindow = msTicks();
         require(cfg.sampleWindow > 0, "at least 1");
     } else if (key == "fault.enabled") {
         cfg.fault.enabled = boolean();
     } else if (key == "fault.seed") {
-        cfg.fault.seed = unum();
+        cfg.fault.seed = u64();
     } else if (key == "fault.draw_period_ms") {
-        cfg.fault.drawPeriod =
-            msToTicks(unum());
+        cfg.fault.drawPeriod = msTicks();
         require(cfg.fault.drawPeriod > 0, "at least 1");
     } else if (key == "fault.hotplug_rate_hz") {
         cfg.fault.hotplugRatePerSec = num();
     } else if (key == "fault.hotplug_downtime_ms") {
-        cfg.fault.hotplugDownTime =
-            msToTicks(unum());
+        cfg.fault.hotplugDownTime = msTicks();
     } else if (key == "fault.dvfs_deny_prob") {
         cfg.fault.dvfsDenyProb = num();
         require(cfg.fault.dvfsDenyProb >= 0.0 &&
@@ -201,8 +220,7 @@ applyKey(ExperimentConfig &cfg, int line_no, const std::string &key,
                     cfg.fault.dvfsDelayProb <= 1.0,
                 "in [0, 1]");
     } else if (key == "fault.dvfs_extra_latency_us") {
-        cfg.fault.dvfsExtraLatency =
-            usToTicks(unum());
+        cfg.fault.dvfsExtraLatency = usTicks();
     } else if (key == "fault.thermal_spike_rate_hz") {
         cfg.fault.thermalSpikeRatePerSec = num();
     } else if (key == "fault.thermal_spike_c") {
@@ -214,18 +232,15 @@ applyKey(ExperimentConfig &cfg, int line_no, const std::string &key,
     } else if (key == "fault.crash_rate_hz") {
         cfg.fault.crashRatePerSec = num();
     } else if (key == "fault.persistent_crash_at_ms") {
-        cfg.fault.persistentCrashAt =
-            msToTicks(unum());
+        cfg.fault.persistentCrashAt = msTicks();
     } else if (key == "fault.persistent_crash_core") {
-        cfg.fault.persistentCrashCore =
-            static_cast<CoreId>(unum());
+        cfg.fault.persistentCrashCore = u32();
     } else if (key == "fault.invariant_break_rate_hz") {
         cfg.fault.invariantBreakRatePerSec = num();
     } else if (key == "seed") {
-        cfg.masterSeed = unum();
+        cfg.masterSeed = u64();
     } else if (key == "snapshot.checkpoint_every_ms") {
-        cfg.snapshot.checkpointEvery =
-            msToTicks(unum());
+        cfg.snapshot.checkpointEvery = msTicks();
     } else if (key == "snapshot.checkpoint_dir") {
         cfg.snapshot.checkpointDir = value;
     } else if (key == "snapshot.resume") {
@@ -245,7 +260,7 @@ applyKey(ExperimentConfig &cfg, int line_no, const std::string &key,
     } else if (key == "watchdog.report") {
         cfg.watchdog.reportPath = value;
     } else if (key == "watchdog.ring_depth") {
-        cfg.watchdog.ringDepth = static_cast<std::size_t>(unum());
+        cfg.watchdog.ringDepth = u64();
     } else {
         return invalidArgument(
             format("config line %d: unknown config key '%s'", line_no,
@@ -296,10 +311,11 @@ parseExperimentConfig(const std::string &text)
     // so a violation always has a trip key to blame.
     if (!(cfg.thermal.hotTripC > cfg.thermal.coolTripC))
         return invalidArgument(format(
-            "config line %d: key '%s': thermal.hot_trip_c (%g) must be "
-            "above thermal.cool_trip_c (%g)",
-            trip_line, trip_key.c_str(), cfg.thermal.hotTripC,
-            cfg.thermal.coolTripC));
+            "config line %d: key '%s': thermal.hot_trip_c (%s) must be "
+            "above thermal.cool_trip_c (%s)",
+            trip_line, trip_key.c_str(),
+            exactDouble(cfg.thermal.hotTripC).c_str(),
+            exactDouble(cfg.thermal.coolTripC).c_str()));
     // Keep the label of the core combination coherent.
     cfg.coreConfig.label = format("L%u+B%u",
                                   cfg.coreConfig.littleCores,
@@ -323,23 +339,23 @@ std::string
 saveExperimentConfig(const ExperimentConfig &cfg)
 {
     std::string out;
+    // Every double-valued key, so that a reparse restores it exactly.
+    const auto real = [&out](const char *key, double v) {
+        out += format("%s = %s\n", key, exactDouble(v).c_str());
+    };
     out += format("governor = %s\n", governorKindName(cfg.governor));
     out += format("label = %s\n", cfg.label.c_str());
     out += format("interactive.sampling_ms = %llu\n",
                   static_cast<unsigned long long>(
                       ticksToMs(cfg.interactive.samplingRate)));
-    out += format("interactive.target_load = %g\n",
-                  cfg.interactive.targetLoad);
-    out += format("interactive.go_hispeed_load = %g\n",
-                  cfg.interactive.goHispeedLoad);
-    out += format("interactive.hispeed_fraction = %g\n",
-                  cfg.interactive.hispeedFraction);
+    real("interactive.target_load", cfg.interactive.targetLoad);
+    real("interactive.go_hispeed_load", cfg.interactive.goHispeedLoad);
+    real("interactive.hispeed_fraction", cfg.interactive.hispeedFraction);
     out += format("sched.up_threshold = %u\n",
                   cfg.sched.upThreshold);
     out += format("sched.down_threshold = %u\n",
                   cfg.sched.downThreshold);
-    out += format("sched.half_life_ms = %g\n",
-                  cfg.sched.loadHalfLifeMs);
+    real("sched.half_life_ms", cfg.sched.loadHalfLifeMs);
     out += format("sched.timeslice_ms = %llu\n",
                   static_cast<unsigned long long>(
                       ticksToMs(cfg.sched.timeslice)));
@@ -349,9 +365,8 @@ saveExperimentConfig(const ExperimentConfig &cfg)
     out += format("cores.big = %u\n", cfg.coreConfig.bigCores);
     out += format("thermal.enabled = %s\n",
                   cfg.thermalEnabled ? "true" : "false");
-    out += format("thermal.hot_trip_c = %g\n", cfg.thermal.hotTripC);
-    out += format("thermal.cool_trip_c = %g\n",
-                  cfg.thermal.coolTripC);
+    real("thermal.hot_trip_c", cfg.thermal.hotTripC);
+    real("thermal.cool_trip_c", cfg.thermal.coolTripC);
     out += format("userspace.little_khz = %u\n",
                   cfg.userspaceLittleFreq);
     out += format("userspace.big_khz = %u\n", cfg.userspaceBigFreq);
@@ -365,35 +380,26 @@ saveExperimentConfig(const ExperimentConfig &cfg)
     out += format("fault.draw_period_ms = %llu\n",
                   static_cast<unsigned long long>(
                       ticksToMs(cfg.fault.drawPeriod)));
-    out += format("fault.hotplug_rate_hz = %g\n",
-                  cfg.fault.hotplugRatePerSec);
+    real("fault.hotplug_rate_hz", cfg.fault.hotplugRatePerSec);
     out += format("fault.hotplug_downtime_ms = %llu\n",
                   static_cast<unsigned long long>(
                       ticksToMs(cfg.fault.hotplugDownTime)));
-    out += format("fault.dvfs_deny_prob = %g\n",
-                  cfg.fault.dvfsDenyProb);
-    out += format("fault.dvfs_delay_prob = %g\n",
-                  cfg.fault.dvfsDelayProb);
+    real("fault.dvfs_deny_prob", cfg.fault.dvfsDenyProb);
+    real("fault.dvfs_delay_prob", cfg.fault.dvfsDelayProb);
     out += format("fault.dvfs_extra_latency_us = %llu\n",
                   static_cast<unsigned long long>(
                       cfg.fault.dvfsExtraLatency / oneUs));
-    out += format("fault.thermal_spike_rate_hz = %g\n",
-                  cfg.fault.thermalSpikeRatePerSec);
-    out += format("fault.thermal_spike_c = %g\n",
-                  cfg.fault.thermalSpikeC);
-    out += format("fault.task_stall_rate_hz = %g\n",
-                  cfg.fault.taskStallRatePerSec);
-    out += format("fault.task_stall_instructions = %g\n",
-                  cfg.fault.taskStallInstructions);
-    out += format("fault.crash_rate_hz = %g\n",
-                  cfg.fault.crashRatePerSec);
+    real("fault.thermal_spike_rate_hz", cfg.fault.thermalSpikeRatePerSec);
+    real("fault.thermal_spike_c", cfg.fault.thermalSpikeC);
+    real("fault.task_stall_rate_hz", cfg.fault.taskStallRatePerSec);
+    real("fault.task_stall_instructions", cfg.fault.taskStallInstructions);
+    real("fault.crash_rate_hz", cfg.fault.crashRatePerSec);
     out += format("fault.persistent_crash_at_ms = %llu\n",
                   static_cast<unsigned long long>(
                       ticksToMs(cfg.fault.persistentCrashAt)));
     out += format("fault.persistent_crash_core = %u\n",
                   cfg.fault.persistentCrashCore);
-    out += format("fault.invariant_break_rate_hz = %g\n",
-                  cfg.fault.invariantBreakRatePerSec);
+    real("fault.invariant_break_rate_hz", cfg.fault.invariantBreakRatePerSec);
     out += format("seed = %llu\n",
                   static_cast<unsigned long long>(cfg.masterSeed));
     out += format("snapshot.checkpoint_every_ms = %llu\n",
@@ -417,10 +423,8 @@ saveExperimentConfig(const ExperimentConfig &cfg)
     }
     out += format("watchdog.enabled = %s\n",
                   cfg.watchdog.enabled ? "true" : "false");
-    out += format("watchdog.stall_limit_sec = %g\n",
-                  cfg.watchdog.stallLimitSec);
-    out += format("watchdog.runaway_limit_sec = %g\n",
-                  cfg.watchdog.runawayLimitSec);
+    real("watchdog.stall_limit_sec", cfg.watchdog.stallLimitSec);
+    real("watchdog.runaway_limit_sec", cfg.watchdog.runawayLimitSec);
     if (!cfg.watchdog.reportPath.empty()) {
         out += format("watchdog.report = %s\n",
                       cfg.watchdog.reportPath.c_str());

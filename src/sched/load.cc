@@ -48,13 +48,6 @@ LoadTracker::decay(double periods)
 }
 
 void
-LoadTracker::setHalfLife(double half_life_ms)
-{
-    halfLifeMs = half_life_ms;
-    decayFactor = decayFor(half_life_ms);
-}
-
-void
 LoadTracker::reset()
 {
     load = 0.0;

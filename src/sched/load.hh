@@ -65,9 +65,6 @@ class LoadTracker
     /** Current load in [0, 1024]. */
     double value() const { return load; }
 
-    /** Change the half-life; future updates use the new decay. */
-    void setHalfLife(double half_life_ms);
-
     double halfLife() const { return halfLifeMs; }
 
     /** Reset to zero history. */

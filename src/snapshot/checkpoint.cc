@@ -28,12 +28,6 @@ Checkpoint::find(const std::string &name) const
     return nullptr;
 }
 
-std::size_t
-Checkpoint::byteSize() const
-{
-    return encode().size();
-}
-
 std::vector<std::uint8_t>
 Checkpoint::encode() const
 {

@@ -78,9 +78,6 @@ struct Checkpoint
     /** Section by name, or nullptr. */
     const CheckpointSection *find(const std::string &name) const;
 
-    /** Serialized size of the whole container in bytes. */
-    std::size_t byteSize() const;
-
     /** Encode to the flat file layout (including the checksum). */
     std::vector<std::uint8_t> encode() const;
 

@@ -206,6 +206,26 @@ TEST(ConfigIo, OutOfRangeValuesAreRejectedWithLineAndKey)
         // Cross-key: blamed on the last trip key read.
         {"thermal.cool_trip_c = 60\nthermal.hot_trip_c = 60\nseed = 1",
          "line 2: key 'thermal.hot_trip_c'"},
+        // The message prints both trip points exactly.
+        {"thermal.cool_trip_c = 75.0000001\nthermal.hot_trip_c = 75",
+         "line 2: key 'thermal.hot_trip_c': thermal.hot_trip_c (75) must "
+         "be above thermal.cool_trip_c (75.0000001)"},
+        // Too big for the field: narrowing or scaling into ticks
+        // would wrap them to a small, valid-looking value.
+        {"sched.up_threshold = 4294967297",
+         "line 1: key 'sched.up_threshold'"},
+        {"cores.little = 4294967300", "line 1: key 'cores.little'"},
+        {"userspace.big_khz = 4295967296",
+         "line 1: key 'userspace.big_khz'"},
+        {"sched.boost_khz = 4294967296", "line 1: key 'sched.boost_khz'"},
+        {"fault.persistent_crash_core = 4294967296",
+         "line 1: key 'fault.persistent_crash_core'"},
+        {"interactive.sampling_ms = 18446744073710",
+         "line 1: key 'interactive.sampling_ms'"},
+        {"snapshot.checkpoint_every_ms = 18446744073710",
+         "line 1: key 'snapshot.checkpoint_every_ms'"},
+        {"fault.dvfs_extra_latency_us = 18446744073709552",
+         "line 1: key 'fault.dvfs_extra_latency_us'"},
     };
     for (const auto &c : cases) {
         const Status st = parseErr(c.text);
@@ -221,10 +241,17 @@ TEST(ConfigIo, OutOfRangeValuesAreRejectedWithLineAndKey)
                                          "watchdog.runaway_limit_sec = 0\n"
                                          "sched.timeslice_ms = 1\n"
                                          "thermal.hot_trip_c = 200\n"
-                                         "thermal.cool_trip_c = 199\n");
+                                         "thermal.cool_trip_c = 199\n"
+                                         "fault.persistent_crash_core = "
+                                         "4294967295\n"
+                                         "snapshot.checkpoint_every_ms = "
+                                         "18446744073709\n");
     EXPECT_DOUBLE_EQ(cfg.interactive.targetLoad, 100.0);
     EXPECT_EQ(cfg.sched.timeslice, msToTicks(1));
     EXPECT_DOUBLE_EQ(cfg.thermal.coolTripC, 199.0);
+    // What saveExperimentConfig writes for "no core".
+    EXPECT_EQ(cfg.fault.persistentCrashCore, invalidCoreId);
+    EXPECT_EQ(cfg.snapshot.checkpointEvery, msToTicks(18446744073709));
 }
 
 TEST(ConfigIo, EmptyKeyOrValueIsAnError)
@@ -278,6 +305,56 @@ TEST(ConfigIo, SaveParseRoundTrip)
     EXPECT_EQ(back.coreConfig.bigCores, cfg.coreConfig.bigCores);
     EXPECT_EQ(back.thermalEnabled, cfg.thermalEnabled);
     EXPECT_EQ(back.userspaceBigFreq, cfg.userspaceBigFreq);
+}
+
+TEST(ConfigIo, EveryDoubleRoundTripsBitForBit)
+{
+    // Each value needs more significant digits than %g's six.
+    ExperimentConfig cfg;
+    cfg.interactive.targetLoad = 70.123456789;
+    cfg.interactive.goHispeedLoad = 85.000000001;
+    cfg.interactive.hispeedFraction = 0.1 + 0.2;
+    cfg.sched.loadHalfLifeMs = 31.987654321;
+    cfg.thermal.hotTripC = 75.0000001; // %g saves both as 75
+    cfg.thermal.coolTripC = 75.0;
+    cfg.fault.hotplugRatePerSec = 2.718281828459045;
+    cfg.fault.dvfsDenyProb = 0.123456789012;
+    cfg.fault.dvfsDelayProb = 1.0 / 3.0;
+    cfg.fault.thermalSpikeRatePerSec = 1.0000001;
+    cfg.fault.thermalSpikeC = 46.0 / 3.0;
+    cfg.fault.taskStallRatePerSec = 3.14159265358979;
+    cfg.fault.taskStallInstructions = 5000001.5;
+    cfg.fault.crashRatePerSec = 3.3333333e-07;
+    cfg.fault.invariantBreakRatePerSec = 0.000123456789;
+    cfg.watchdog.stallLimitSec = 45.0000001;
+    cfg.watchdog.runawayLimitSec = 900.00000001;
+
+    const ExperimentConfig back =
+        parseOk(saveExperimentConfig(cfg));
+    EXPECT_EQ(back.interactive.targetLoad, cfg.interactive.targetLoad);
+    EXPECT_EQ(back.interactive.goHispeedLoad,
+              cfg.interactive.goHispeedLoad);
+    EXPECT_EQ(back.interactive.hispeedFraction,
+              cfg.interactive.hispeedFraction);
+    EXPECT_EQ(back.sched.loadHalfLifeMs, cfg.sched.loadHalfLifeMs);
+    EXPECT_EQ(back.thermal.hotTripC, cfg.thermal.hotTripC);
+    EXPECT_EQ(back.thermal.coolTripC, cfg.thermal.coolTripC);
+    EXPECT_EQ(back.fault.hotplugRatePerSec, cfg.fault.hotplugRatePerSec);
+    EXPECT_EQ(back.fault.dvfsDenyProb, cfg.fault.dvfsDenyProb);
+    EXPECT_EQ(back.fault.dvfsDelayProb, cfg.fault.dvfsDelayProb);
+    EXPECT_EQ(back.fault.thermalSpikeRatePerSec,
+              cfg.fault.thermalSpikeRatePerSec);
+    EXPECT_EQ(back.fault.thermalSpikeC, cfg.fault.thermalSpikeC);
+    EXPECT_EQ(back.fault.taskStallRatePerSec,
+              cfg.fault.taskStallRatePerSec);
+    EXPECT_EQ(back.fault.taskStallInstructions,
+              cfg.fault.taskStallInstructions);
+    EXPECT_EQ(back.fault.crashRatePerSec, cfg.fault.crashRatePerSec);
+    EXPECT_EQ(back.fault.invariantBreakRatePerSec,
+              cfg.fault.invariantBreakRatePerSec);
+    EXPECT_EQ(back.watchdog.stallLimitSec, cfg.watchdog.stallLimitSec);
+    EXPECT_EQ(back.watchdog.runawayLimitSec,
+              cfg.watchdog.runawayLimitSec);
 }
 
 TEST(ConfigIo, ParsesFaultKeys)

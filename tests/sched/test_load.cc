@@ -102,17 +102,6 @@ TEST(LoadTracker, FractionalDecay)
     EXPECT_NEAR(t.value(), before / 2.0, 1e-6);
 }
 
-TEST(LoadTracker, SetHalfLifeChangesFutureDecay)
-{
-    LoadTracker t(32.0);
-    t.update(1.0, 1.0, 500);
-    t.setHalfLife(8.0);
-    EXPECT_DOUBLE_EQ(t.halfLife(), 8.0);
-    const double before = t.value();
-    t.update(0.0, 1.0, 8);
-    EXPECT_NEAR(t.value(), before / 2.0, 0.5);
-}
-
 TEST(LoadTracker, ResetZeroes)
 {
     LoadTracker t(32.0);

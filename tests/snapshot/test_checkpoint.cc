@@ -66,12 +66,6 @@ TEST(Checkpoint, ReencodeIsByteIdentical)
     EXPECT_EQ(back.value().encode(), bytes);
 }
 
-TEST(Checkpoint, ByteSizeMatchesEncoding)
-{
-    const Checkpoint ckpt = sampleCheckpoint();
-    EXPECT_EQ(ckpt.byteSize(), ckpt.encode().size());
-}
-
 TEST(Checkpoint, FindLocatesSections)
 {
     const Checkpoint ckpt = sampleCheckpoint();

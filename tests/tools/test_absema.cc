@@ -530,6 +530,24 @@ TEST(AbsemaStaleAllow, UnknownRuleNameIsFlagged)
               std::string::npos);
 }
 
+TEST(AbsemaStaleAllow, DeletedRuleNamesAreUnknown)
+{
+    // Neither unit-mix nor stale-baseline is a rule: a directive
+    // naming one is unknown, not merely unused.
+    const auto in = input(
+        {{"src/sim/a.cc",
+          "// ablint:allow(unit-mix): x\n"
+          "int x = 0;\n"
+          "// ablint:allow(stale-baseline): y\n"
+          "int y = 0;\n"}});
+    const auto hits =
+        ofRule(ablint::runAllRules(in), "stale-allow");
+    ASSERT_EQ(hits.size(), 2u);
+    for (const auto &hit : hits)
+        EXPECT_NE(hit.message.find("unknown rule"), std::string::npos)
+            << hit.message;
+}
+
 TEST(AbsemaStaleAllow, UsedDirectivesAreClean)
 {
     // One lexical suppression (wall-clock) and one semantic

@@ -53,22 +53,13 @@
  *                    reads, config/argv numeric parses) to
  *                    allocation-size, loop-bound and index sinks,
  *                    sanitized by getCount()/clamp comparisons;
- *  - unit-mix        a unit-domain lattice (Tick/ns, ms, us, s,
- *                    kHz, Hz, dimensionless) seeded from
- *                    src/base/types.hh typedefs, the conversion
- *                    helpers and _ms/_us/_khz naming, flagging
- *                    cross-domain add/subtract/compare and argument
- *                    passing without a conversion call;
  *  - status-drop     a Status/Result local that is assigned and
  *                    then overwritten, or dies, without ever being
  *                    branched on, propagated, or logged.
  *
  * Suppression: `// ablint:allow(rule[,rule]): why` on the violating
- * line or the line directly above it, or a checked-in baseline file
- * (tools/ablint/baseline.txt) of `path:line:rule` entries.  Baseline
- * entries that no longer match anything (moved line, fixed code,
- * deleted file) are themselves reported as `stale-baseline`, so the
- * baseline can only shrink.
+ * line or the line directly above it, and nowhere else.  A directive
+ * that suppresses nothing is itself a stale-allow finding.
  *
  * The tool is standalone (no dependency on the simulation libraries)
  * so it can never be broken by the code it checks.
@@ -127,9 +118,6 @@ struct LexedFile
 
     /** Every allow directive, one entry per comment. */
     std::vector<AllowDirective> directives;
-
-    /** Total number of source lines (for baseline staleness). */
-    int lineCount = 0;
 
     /** True for files under tests/ (some rules are src-only). */
     bool isTest = false;
@@ -204,8 +192,8 @@ std::vector<Finding> runSemaRules(const ScanInput &in,
                                   RuleProfile *profile = nullptr);
 
 /**
- * Run the dataflow (abflow) rules: taint-bound, unit-mix,
- * status-drop.  Builds the flow model (tools/ablint/flow.hh) from
+ * Run the dataflow (abflow) rules: taint-bound, status-drop.
+ * Builds the flow model (tools/ablint/flow.hh) from
  * @p in internally; same Finding / inline-allow machinery as the
  * other passes.
  */
@@ -228,37 +216,21 @@ std::vector<Finding> staleAllowFindings(const ScanInput &in,
 std::vector<Finding> runAllRules(const ScanInput &in,
                                  RuleProfile *profile = nullptr);
 
-/**
- * Apply the baseline: drop findings matched by a `path:line:rule`
- * entry; append a `stale-baseline` finding for every entry that
- * matched nothing or references a line past the end of its file.
- */
-std::vector<Finding> applyBaseline(const std::vector<Finding> &raw,
-                                   const std::string &baselineText,
-                                   const std::string &baselinePath,
-                                   const ScanInput &in);
-
 /** Names of all rules, for --list-rules and directive validation. */
 const std::vector<std::string> &ruleNames();
 
 /**
- * Lex src/ and tests/ (plus @p extraPaths) of a repo checkout and
- * load the docs corpus and the serialization registry.  I/O failures
- * throw std::runtime_error.
+ * Lex src/ and tests/ of a repo checkout and load the docs corpus
+ * and the serialization registry (tools/ablint/serialized_state.txt).
+ * I/O failures throw std::runtime_error.
  */
-ScanInput loadRepo(const std::string &repoRoot,
-                   const std::string &registryPath,
-                   const std::vector<std::string> &extraPaths);
+ScanInput loadRepo(const std::string &repoRoot);
 
 /**
- * Scan a repo checkout: loadRepo(), then every rule pass (lexical +
- * semantic + stale-allow) and the baseline.  Returns the final
+ * Scan a repo checkout: loadRepo(), then runAllRules().  Returns the
  * findings; I/O failures throw std::runtime_error.
  */
 std::vector<Finding> runOnRepo(const std::string &repoRoot,
-                               const std::string &baselinePath,
-                               const std::string &registryPath,
-                               const std::vector<std::string> &extraPaths,
                                RuleProfile *profile = nullptr);
 
 } // namespace biglittle::ablint

@@ -803,9 +803,8 @@ parseParams(const std::vector<Token> &toks, std::size_t begin,
                 }
             }
         }
-        // Name: the last identifier; type: everything else.  A
-        // trailing builtin keyword means the parameter is unnamed
-        // (`int`, `unsigned long`): the whole chunk is the type.
+        // Name: the last identifier.  A trailing builtin keyword
+        // means the parameter is unnamed (`int`, `unsigned long`).
         static const std::set<std::string> builtinTypes = {
             "void",     "bool",     "char",    "wchar_t", "short",
             "int",      "long",     "signed",  "unsigned", "float",
@@ -822,15 +821,6 @@ parseParams(const std::vector<Token> &toks, std::size_t begin,
         FlowParam p;
         if (builtinTypes.count(toks[nameIdx].text) == 0)
             p.name = toks[nameIdx].text;
-        std::string type;
-        for (std::size_t j = cb; j < ce; ++j) {
-            if (j == nameIdx && !p.name.empty())
-                continue;
-            if (!type.empty())
-                type += ' ';
-            type += toks[j].text;
-        }
-        p.type = std::move(type);
         params.push_back(std::move(p));
     }
     return params;

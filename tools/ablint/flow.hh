@@ -28,8 +28,8 @@
  * loop-carried flow converges.  Its blind spots are documented in
  * docs/STATIC_ANALYSIS.md.
  *
- * The rules built on the engine (flow_rules.cc): taint-bound,
- * unit-mix, status-drop - see ablint.hh.
+ * The rules built on the engine (flow_rules.cc): taint-bound and
+ * status-drop - see ablint.hh.
  */
 
 #ifndef BIGLITTLE_TOOLS_ABLINT_FLOW_HH
@@ -48,10 +48,8 @@ namespace biglittle::ablint
 /** One declared parameter of a function definition. */
 struct FlowParam
 {
+    /** Empty for an unnamed parameter, which still takes a slot. */
     std::string name;
-
-    /** Declared type as token text ("const Config &" style). */
-    std::string type;
 };
 
 /** Where a parameter's taint lands, for chain-aware messages. */

@@ -1,10 +1,9 @@
 /**
  * @file
  * The abflow rules: taint-bound (interprocedural decode-length
- * taint), unit-mix (the time/frequency unit-domain lattice), and
- * status-drop (dead Status/Result definitions).  All three ride the
- * engine in flow.cc and feed the same Finding / inline-allow
- * machinery as the lexical and semantic passes.
+ * taint) and status-drop (dead Status/Result definitions).  Both
+ * ride the engine in flow.cc and feed the same Finding /
+ * inline-allow machinery as the lexical and semantic passes.
  */
 
 #include "flow.hh"
@@ -12,7 +11,6 @@
 #include "sink.hh"
 
 #include <algorithm>
-#include <functional>
 
 namespace biglittle::ablint
 {
@@ -41,480 +39,6 @@ taintBoundRule(const FlowModel &fm, Sink &sink)
             sink.add(f, line, "taint-bound", msg);
         };
         analyzeTaint(ff, fm, &emit);
-    }
-}
-
-/* ------------------------------------------------------------------ */
-/* unit-mix                                                            */
-/* ------------------------------------------------------------------ */
-
-/**
- * The unit-domain lattice, seeded from src/base/types.hh: Tick and
- * TickDelta are integer nanoseconds, FreqKHz is integer kHz, and the
- * conversion helpers (msToTicks & co) move values between domains.
- * Names carry domains too: the codebase's convention is a _ms / Ms
- * (etc.) suffix on any count that is not in ticks.
- */
-enum class Unit
-{
-    none, ///< dimensionless or unknown: never flagged
-    tick, ///< Tick / TickDelta / ns
-    ms,
-    us,
-    sec,
-    khz,
-    hz,
-    ghz,
-};
-
-const char *
-unitName(Unit u)
-{
-    switch (u) {
-    case Unit::tick:
-        return "Tick/ns";
-    case Unit::ms:
-        return "ms";
-    case Unit::us:
-        return "us";
-    case Unit::sec:
-        return "s";
-    case Unit::khz:
-        return "kHz";
-    case Unit::hz:
-        return "Hz";
-    case Unit::ghz:
-        return "GHz";
-    case Unit::none:
-        break;
-    }
-    return "?";
-}
-
-/** Result domain of a conversion/time call, none when unknown. */
-Unit
-callResultUnit(const std::string &name)
-{
-    if (name == "msToTicks" || name == "usToTicks" || name == "now")
-        return Unit::tick;
-    if (name == "ticksToMs")
-        return Unit::ms;
-    if (name == "ticksToSeconds")
-        return Unit::sec;
-    if (name == "kHzToHz")
-        return Unit::hz;
-    if (name == "kHzToGHz")
-        return Unit::ghz;
-    return Unit::none;
-}
-
-/** Expected domain of a conversion helper's single parameter. */
-Unit
-callParamUnit(const std::string &name)
-{
-    if (name == "msToTicks")
-        return Unit::ms;
-    if (name == "usToTicks")
-        return Unit::us;
-    if (name == "ticksToMs" || name == "ticksToSeconds")
-        return Unit::tick;
-    if (name == "kHzToHz" || name == "kHzToGHz")
-        return Unit::khz;
-    return Unit::none;
-}
-
-bool
-isUnitTypeName(const std::string &name)
-{
-    return name == "Tick" || name == "TickDelta" ||
-           name == "FreqKHz";
-}
-
-/** Camel-boundary suffix: "totalMs" yes, "RMS"/"params" no. */
-bool
-hasCamelSuffix(const std::string &name, const std::string &suffix)
-{
-    if (name.size() <= suffix.size())
-        return false;
-    if (name.compare(name.size() - suffix.size(), suffix.size(),
-                     suffix) != 0)
-        return false;
-    const char before = name[name.size() - suffix.size() - 1];
-    return (before >= 'a' && before <= 'z') ||
-           (before >= '0' && before <= '9');
-}
-
-bool
-hasSuffix(const std::string &name, const std::string &suffix)
-{
-    return name.size() > suffix.size() &&
-           name.compare(name.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
-}
-
-/** Domain carried by an identifier's name alone. */
-Unit
-nameUnit(const std::string &name)
-{
-    if (isUnitTypeName(name))
-        return Unit::none; // a type name is not a value
-    if (name == "oneMs" || name == "oneUs" || name == "oneSec" ||
-        name == "maxTick" || name == "now" || name == "ticks")
-        return Unit::tick; // the types.hh Tick-valued constants
-    if (name == "ms")
-        return Unit::ms;
-    if (name == "us")
-        return Unit::us;
-    if (name == "khz")
-        return Unit::khz;
-    if (name == "hz")
-        return Unit::hz;
-    // kHz before Hz: "freqKHz" must not read as an Hz suffix.
-    if (hasSuffix(name, "_khz") || hasSuffix(name, "_KHZ") ||
-        hasSuffix(name, "KHz") || hasCamelSuffix(name, "Khz"))
-        return Unit::khz;
-    if (hasSuffix(name, "_hz") || hasSuffix(name, "_HZ") ||
-        hasCamelSuffix(name, "Hz"))
-        return Unit::hz;
-    if (hasSuffix(name, "_ms") || hasSuffix(name, "_MS") ||
-        hasCamelSuffix(name, "Ms"))
-        return Unit::ms;
-    if (hasSuffix(name, "_us") || hasSuffix(name, "_US") ||
-        hasCamelSuffix(name, "Us"))
-        return Unit::us;
-    if (hasSuffix(name, "_ns") || hasSuffix(name, "_NS") ||
-        hasCamelSuffix(name, "Ns") || hasSuffix(name, "_ticks") ||
-        hasCamelSuffix(name, "Ticks") || hasCamelSuffix(name, "Tick"))
-        return Unit::tick;
-    if (hasSuffix(name, "_sec") || hasSuffix(name, "_seconds") ||
-        hasCamelSuffix(name, "Sec") || hasCamelSuffix(name, "Secs") ||
-        hasCamelSuffix(name, "Seconds"))
-        return Unit::sec;
-    return Unit::none;
-}
-
-/** `Tick x` / `TickDelta x` / `FreqKHz x` declarations in @p f. */
-std::map<std::string, Unit>
-declaredUnits(const LexedFile &f)
-{
-    std::map<std::string, Unit> decls;
-    const auto &toks = f.tokens;
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-        if (toks[i].kind != TokKind::identifier ||
-            !isUnitTypeName(toks[i].text))
-            continue;
-        if (toks[i + 1].kind != TokKind::identifier)
-            continue;
-        // `Tick nextEventAt()` declares a function, not a value.
-        if (i + 2 < toks.size() && isPunct(toks[i + 2], '('))
-            continue;
-        decls[toks[i + 1].text] = toks[i].text == "FreqKHz"
-                                      ? Unit::khz
-                                      : Unit::tick;
-    }
-    return decls;
-}
-
-struct Operand
-{
-    Unit unit = Unit::none;
-    std::string desc; ///< for messages: "frameMs" / "ticksToMs()"
-};
-
-class UnitScanner
-{
-  public:
-    UnitScanner(const LexedFile &f, const FlowModel &fm, Sink &sink)
-        : f(f), toks(f.tokens), n(f.tokens.size()), fm(fm),
-          sink(sink), decls(declaredUnits(f))
-    {
-    }
-
-    void
-    run()
-    {
-        scanOperators();
-        scanCallArgs();
-    }
-
-  private:
-    const LexedFile &f;
-    const std::vector<Token> &toks;
-    const std::size_t n;
-    const FlowModel &fm;
-    Sink &sink;
-    const std::map<std::string, Unit> decls;
-
-    Unit
-    identUnit(const std::string &name) const
-    {
-        const auto it = decls.find(name);
-        if (it != decls.end())
-            return it->second;
-        return nameUnit(name);
-    }
-
-    /** Operand ending at @p at (the token before an operator). */
-    Operand
-    leftOperand(std::size_t at) const
-    {
-        Operand op;
-        if (at >= n)
-            return op;
-        const Token &t = toks[at];
-        if (t.kind == TokKind::identifier) {
-            op.unit = identUnit(t.text);
-            op.desc = t.text;
-            return op;
-        }
-        if (isPunct(t, ')')) {
-            // Call result: walk back to the '(' and the callee.
-            int depth = 0;
-            std::size_t j = at;
-            while (true) {
-                if (isPunct(toks[j], ')'))
-                    ++depth;
-                else if (isPunct(toks[j], '(') && --depth == 0)
-                    break;
-                if (j == 0)
-                    return op;
-                --j;
-            }
-            if (j > 0 && toks[j - 1].kind == TokKind::identifier) {
-                op.unit = callResultUnit(toks[j - 1].text);
-                op.desc = toks[j - 1].text + "()";
-            }
-        }
-        return op;
-    }
-
-    /** Operand starting at @p at (the token after an operator). */
-    Operand
-    rightOperand(std::size_t at) const
-    {
-        Operand op;
-        if (at >= n)
-            return op;
-        const Token &t = toks[at];
-        if (t.kind != TokKind::identifier)
-            return op;
-        if (at + 1 < n && isPunct(toks[at + 1], '(')) {
-            op.unit = callResultUnit(t.text);
-            op.desc = t.text + "()";
-            return op;
-        }
-        // Member access tail: `cfg.frameBudgetMs` names the field.
-        std::size_t j = at;
-        while (j + 2 < n && isPunct(toks[j + 1], '.') &&
-               toks[j + 2].kind == TokKind::identifier)
-            j += 2;
-        if (j + 1 < n && isPunct(toks[j + 1], '('))
-            return op; // member call with an unknown domain
-        op.unit = identUnit(toks[j].text);
-        op.desc = toks[j].text;
-        return op;
-    }
-
-    void
-    flagMix(int line, const Operand &a, const Operand &b,
-            const std::string &what)
-    {
-        sink.add(f, line, "unit-mix",
-                 "mixes unit domains: '" + a.desc + "' is " +
-                     unitName(a.unit) + " but '" + b.desc + "' is " +
-                     unitName(b.unit) + " (" + what +
-                     "); convert explicitly with the "
-                     "src/base/types.hh helpers (msToTicks, "
-                     "ticksToMs, kHzToHz, ...) before combining "
-                     "them");
-    }
-
-    void
-    scanOperators()
-    {
-        for (std::size_t i = 1; i + 1 < n; ++i) {
-            const Token &t = toks[i];
-            if (t.kind != TokKind::punct || t.text.size() != 1)
-                continue;
-            const char c = t.text[0];
-            std::size_t rhs = i + 1;
-            std::string what;
-            if (c == '+' || c == '-') {
-                // Exclude '->', '++', '--', and unary signs.
-                if (isPunct(toks[i + 1], '>') ||
-                    isPunct(toks[i + 1], c) || isPunct(toks[i - 1], c))
-                    continue;
-                if (isPunct(toks[i + 1], '='))
-                    rhs = i + 2; // compound += / -=
-                what = "additive arithmetic";
-            } else if (c == '<' || c == '>') {
-                // Exclude streams ('<<' '>>') and arrow ('->').
-                if (isPunct(toks[i - 1], c) || isPunct(toks[i + 1], c))
-                    continue;
-                if (c == '>' && isPunct(toks[i - 1], '-'))
-                    continue;
-                if (isPunct(toks[i + 1], '='))
-                    rhs = i + 2; // <= / >=
-                what = "comparison";
-            } else if (c == '=' && isPunct(toks[i + 1], '=') &&
-                       !isPunct(toks[i - 1], '=') &&
-                       !isPunct(toks[i - 1], '!') &&
-                       !isPunct(toks[i - 1], '<') &&
-                       !isPunct(toks[i - 1], '>')) {
-                rhs = i + 2; // ==
-                what = "equality comparison";
-            } else if (c == '!' && isPunct(toks[i + 1], '=')) {
-                rhs = i + 2; // !=
-                what = "equality comparison";
-            } else {
-                continue;
-            }
-            const Operand lo = leftOperand(i - 1);
-            if (lo.unit == Unit::none)
-                continue;
-            const Operand ro = rightOperand(rhs);
-            if (ro.unit == Unit::none || ro.unit == lo.unit)
-                continue;
-            flagMix(t.line, lo, ro, what);
-        }
-    }
-
-    /** Single-atom argument domain: one identifier or one call. */
-    Operand
-    argOperand(std::size_t from, std::size_t to) const
-    {
-        Operand op;
-        if (from >= to)
-            return op;
-        if (to - from == 1 &&
-            toks[from].kind == TokKind::identifier) {
-            op.unit = identUnit(toks[from].text);
-            op.desc = toks[from].text;
-            return op;
-        }
-        // `obj.member` chains and `fn(...)` single calls.
-        return rightOperand(from);
-    }
-
-    void
-    scanCallArgs()
-    {
-        for (std::size_t i = 0; i + 1 < n; ++i) {
-            if (toks[i].kind != TokKind::identifier ||
-                !isPunct(toks[i + 1], '('))
-                continue;
-            const std::string &callee = toks[i].text;
-            // Matching close paren.
-            int depth = 0;
-            std::size_t close = i + 1;
-            for (; close < n; ++close) {
-                if (isPunct(toks[close], '('))
-                    ++depth;
-                else if (isPunct(toks[close], ')') && --depth == 0)
-                    break;
-            }
-            if (close >= n)
-                continue;
-            // Top-level argument ranges.
-            std::vector<std::pair<std::size_t, std::size_t>> args;
-            {
-                int paren = 0, bracket = 0, brace = 0, angle = 0;
-                std::size_t start = i + 2;
-                for (std::size_t j = i + 2; j < close; ++j) {
-                    const Token &t = toks[j];
-                    if (isPunct(t, '('))
-                        ++paren;
-                    else if (isPunct(t, ')'))
-                        --paren;
-                    else if (isPunct(t, '['))
-                        ++bracket;
-                    else if (isPunct(t, ']'))
-                        --bracket;
-                    else if (isPunct(t, '{'))
-                        ++brace;
-                    else if (isPunct(t, '}'))
-                        --brace;
-                    else if (isPunct(t, '<') && j > i + 2 &&
-                             toks[j - 1].kind == TokKind::identifier)
-                        ++angle;
-                    else if (isPunct(t, '>') && angle > 0)
-                        --angle;
-                    else if (isPunct(t, ',') && paren == 0 &&
-                             bracket == 0 && brace == 0 &&
-                             angle == 0) {
-                        args.push_back({start, j});
-                        start = j + 1;
-                    }
-                }
-                if (start < close)
-                    args.push_back({start, close});
-            }
-            if (args.empty())
-                continue;
-            // Expected parameter domains: the types.hh conversion
-            // helpers, else a modeled function's declared params.
-            std::vector<Unit> expected;
-            std::vector<std::string> pnames;
-            const Unit conv = callParamUnit(callee);
-            if (conv != Unit::none) {
-                expected.push_back(conv);
-                pnames.push_back(callee == "ticksToMs" ||
-                                         callee == "ticksToSeconds"
-                                     ? "t"
-                                     : "its argument");
-            } else if (callee == "cyclesIn") {
-                expected = {Unit::tick, Unit::khz};
-                pnames = {"t", "f"};
-            } else {
-                const auto it = fm.byName.find(callee);
-                if (it == fm.byName.end())
-                    continue;
-                const FlowFunction &cand =
-                    fm.functions[it->second.front()];
-                for (const FlowParam &p : cand.params) {
-                    Unit u = Unit::none;
-                    if (p.type.find("FreqKHz") != std::string::npos)
-                        u = Unit::khz;
-                    else if (p.type.find("TickDelta") !=
-                                 std::string::npos ||
-                             p.type.find("Tick") !=
-                                 std::string::npos)
-                        u = Unit::tick;
-                    else
-                        u = nameUnit(p.name);
-                    expected.push_back(u);
-                    pnames.push_back(p.name);
-                }
-            }
-            for (std::size_t ai = 0;
-                 ai < args.size() && ai < expected.size(); ++ai) {
-                if (expected[ai] == Unit::none)
-                    continue;
-                const Operand ao =
-                    argOperand(args[ai].first, args[ai].second);
-                if (ao.unit == Unit::none ||
-                    ao.unit == expected[ai])
-                    continue;
-                sink.add(f, toks[i].line, "unit-mix",
-                         "passes '" + ao.desc + "' (" +
-                             unitName(ao.unit) + ") to parameter '" +
-                             pnames[ai] + "' of " + callee +
-                             "(), which expects " +
-                             unitName(expected[ai]) +
-                             "; convert explicitly with the "
-                             "src/base/types.hh helpers first");
-            }
-        }
-    }
-};
-
-void
-unitMixRule(const ScanInput &in, const FlowModel &fm, Sink &sink)
-{
-    for (const LexedFile &f : in.files) {
-        if (f.isTest)
-            continue;
-        UnitScanner(f, fm, sink).run();
     }
 }
 
@@ -784,8 +308,6 @@ runFlowRules(const ScanInput &in, AllowUse *uses,
              [&] { fm = buildFlowModel(in); });
     timeRule(profile, "taint-bound",
              [&] { taintBoundRule(fm, sink); });
-    timeRule(profile, "unit-mix",
-             [&] { unitMixRule(in, fm, sink); });
     timeRule(profile, "status-drop",
              [&] { statusDropRule(fm, sink); });
     std::sort(out.begin(), out.end(),

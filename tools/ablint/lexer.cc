@@ -185,7 +185,6 @@ lexString(const std::string &path, const std::string &text)
         out.tokens.push_back({TokKind::punct, std::string(1, c), line});
         ++i;
     }
-    out.lineCount = line;
     return out;
 }
 

@@ -2,16 +2,15 @@
  * @file
  * ablint CLI.
  *
- *   ablint --repo <root> [--baseline F] [--registry F]
- *          [--write-baseline F] [--format=FMT] [--profile]
- *          [--list-rules] [extra paths...]
+ *   ablint [--repo <root>] [--format=FMT] [--profile] [--list-rules]
  *
  * --format is text (default), github (::error workflow commands for
  * inline PR annotations) or json (one array of finding objects).
  * --profile prints per-rule wall time (ms, slowest first) to stderr
  * after the findings - CI budgets the lint step with it.
  *
- * Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
+ * Exit codes: 0 clean, 1 findings, 2 usage or I/O error (any
+ * argument not listed above is a usage error).
  */
 
 #include "ablint.hh"
@@ -19,7 +18,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,12 +28,8 @@ main(int argc, char **argv)
     using namespace biglittle::ablint;
 
     std::string repo = ".";
-    std::string baseline;
-    std::string registry;
-    std::string writeBaseline;
     std::string format = "text";
     bool profile = false;
-    std::vector<std::string> extras;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -50,12 +44,6 @@ main(int argc, char **argv)
         };
         if (arg == "--repo") {
             repo = value();
-        } else if (arg == "--baseline") {
-            baseline = value();
-        } else if (arg == "--registry") {
-            registry = value();
-        } else if (arg == "--write-baseline") {
-            writeBaseline = value();
         } else if (arg == "--profile") {
             profile = true;
         } else if (arg == "--format") {
@@ -68,23 +56,18 @@ main(int argc, char **argv)
             return 0;
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
-                "usage: ablint [--repo ROOT] [--baseline FILE]\n"
-                "              [--registry FILE] "
-                "[--write-baseline FILE]\n"
-                "              [--format=text|github|json] "
-                "[--profile]\n"
-                "              [--list-rules] [extra paths...]\n"
+                "usage: ablint [--repo ROOT] "
+                "[--format=text|github|json]\n"
+                "              [--profile] [--list-rules]\n"
                 "\n"
                 "Determinism & error-discipline lint over src/ and\n"
                 "tests/ - lexical rules plus the absema semantic\n"
                 "pass.  See docs/STATIC_ANALYSIS.md.\n");
             return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "ablint: unknown option '%s'\n",
+        } else {
+            std::fprintf(stderr, "ablint: unknown argument '%s'\n",
                          arg.c_str());
             return 2;
-        } else {
-            extras.push_back(arg);
         }
     }
     if (format != "text" && format != "github" && format != "json") {
@@ -98,8 +81,7 @@ main(int argc, char **argv)
     std::vector<Finding> findings;
     RuleProfile ruleProfile;
     try {
-        findings = runOnRepo(repo, baseline, registry, extras,
-                             profile ? &ruleProfile : nullptr);
+        findings = runOnRepo(repo, profile ? &ruleProfile : nullptr);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 2;
@@ -120,29 +102,6 @@ main(int argc, char **argv)
             std::fprintf(stderr, "  %10.3f  %s\n", ms,
                          name.c_str());
         std::fprintf(stderr, "  %10.3f  total\n", total);
-    }
-
-    if (!writeBaseline.empty()) {
-        std::ofstream out(writeBaseline);
-        if (!out) {
-            std::fprintf(stderr,
-                         "ablint: cannot write baseline '%s'\n",
-                         writeBaseline.c_str());
-            return 2;
-        }
-        out << "# ablint suppression baseline: path:line:rule\n"
-            << "# regenerate with: ablint --repo . "
-               "--write-baseline tools/ablint/baseline.txt\n";
-        for (const auto &f : findings) {
-            if (f.rule == "stale-baseline")
-                continue;
-            out << f.file << ":" << f.line << ":" << f.rule << "\n";
-        }
-        std::printf("ablint: wrote %zu baseline entr%s to %s\n",
-                    findings.size(),
-                    findings.size() == 1 ? "y" : "ies",
-                    writeBaseline.c_str());
-        return 0;
     }
 
     if (format == "json") {

@@ -11,7 +11,6 @@
 #include "sink.hh"
 
 #include <algorithm>
-#include <sstream>
 
 namespace biglittle::ablint
 {
@@ -519,12 +518,12 @@ ruleNames()
     static const std::vector<std::string> names = {
         "wall-clock",     "unordered-iter", "pointer-key",
         "static-mutable", "void-discard",   "config-key",
-        "post-init-fatal", "stale-baseline",
+        "post-init-fatal",
         // absema (semantic) rules, sema_rules.cc:
         "serialize-coverage", "rng-stream", "layer-cycle",
         "stale-allow",
         // abflow (dataflow) rules, flow_rules.cc:
-        "taint-bound", "unit-mix", "status-drop",
+        "taint-bound", "status-drop",
     };
     return names;
 }
@@ -563,95 +562,6 @@ runRules(const ScanInput &in, AllowUse *uses, RuleProfile *profile)
                   return a.rule < b.rule;
               });
     return findings;
-}
-
-std::vector<Finding>
-applyBaseline(const std::vector<Finding> &raw,
-              const std::string &baselineText,
-              const std::string &baselinePath, const ScanInput &in)
-{
-    struct Entry
-    {
-        std::string file;
-        int line = 0;
-        std::string rule;
-        int srcLine = 0; ///< line in the baseline file
-        bool matched = false;
-    };
-    std::vector<Entry> entries;
-    {
-        std::istringstream stream(baselineText);
-        std::string line;
-        int line_no = 0;
-        while (std::getline(stream, line)) {
-            ++line_no;
-            const auto hash = line.find('#');
-            if (hash != std::string::npos)
-                line = line.substr(0, hash);
-            while (!line.empty() &&
-                   (line.back() == ' ' || line.back() == '\r' ||
-                    line.back() == '\t'))
-                line.pop_back();
-            if (line.empty())
-                continue;
-            const auto c2 = line.rfind(':');
-            const auto c1 =
-                c2 == std::string::npos
-                    ? std::string::npos
-                    : line.rfind(':', c2 - 1);
-            if (c1 == std::string::npos) {
-                entries.push_back({line, 0, "", line_no, false});
-                continue;
-            }
-            Entry e;
-            e.file = line.substr(0, c1);
-            e.line = std::atoi(line.substr(c1 + 1, c2 - c1 - 1).c_str());
-            e.rule = line.substr(c2 + 1);
-            e.srcLine = line_no;
-            entries.push_back(std::move(e));
-        }
-    }
-
-    std::vector<Finding> kept;
-    for (const auto &f : raw) {
-        bool suppressed = false;
-        for (auto &e : entries) {
-            if (e.file == f.file && e.line == f.line &&
-                e.rule == f.rule) {
-                e.matched = true;
-                suppressed = true;
-            }
-        }
-        if (!suppressed)
-            kept.push_back(f);
-    }
-
-    for (const auto &e : entries) {
-        if (e.matched)
-            continue;
-        std::string why = "matches no current finding";
-        bool fileKnown = false;
-        for (const auto &lf : in.files) {
-            if (lf.path == e.file) {
-                fileKnown = true;
-                if (e.line > lf.lineCount)
-                    why = "references line " +
-                          std::to_string(e.line) + " past the end "
-                          "of the file (" +
-                          std::to_string(lf.lineCount) + " lines)";
-                break;
-            }
-        }
-        if (!fileKnown)
-            why = "references a file that is no longer scanned";
-        kept.push_back({baselinePath, e.srcLine, "stale-baseline",
-                        "baseline entry '" + e.file + ":" +
-                            std::to_string(e.line) + ":" + e.rule +
-                            "' " + why +
-                            "; delete it (the baseline only "
-                            "shrinks)"});
-    }
-    return kept;
 }
 
 } // namespace biglittle::ablint

@@ -1,8 +1,8 @@
 /**
  * @file
  * Filesystem side of ablint: walk the repo, lex every C++ file under
- * src/ and tests/, load the docs corpus, the serialization registry
- * and the baseline, and run the rules.
+ * src/ and tests/, load the docs corpus and the serialization
+ * registry, and run the rules.
  */
 
 #include "ablint.hh"
@@ -53,8 +53,7 @@ repoRelative(const fs::path &root, const fs::path &p)
 }
 
 void
-collectDir(const fs::path &root, const fs::path &dir,
-           std::vector<fs::path> &files)
+collectDir(const fs::path &dir, std::vector<fs::path> &files)
 {
     if (!fs::exists(dir))
         return;
@@ -62,15 +61,12 @@ collectDir(const fs::path &root, const fs::path &dir,
         if (entry.is_regular_file() && isCppFile(entry.path()))
             files.push_back(entry.path());
     }
-    (void)root;
 }
 
 } // namespace
 
 ScanInput
-loadRepo(const std::string &repoRoot,
-         const std::string &registryPath,
-         const std::vector<std::string> &extraPaths)
+loadRepo(const std::string &repoRoot)
 {
     const fs::path root(repoRoot);
     if (!fs::exists(root / "src"))
@@ -79,26 +75,14 @@ loadRepo(const std::string &repoRoot,
             "' does not look like the repo root (no src/)");
 
     std::vector<fs::path> files;
-    collectDir(root, root / "src", files);
-    collectDir(root, root / "tests", files);
-    for (const auto &extra : extraPaths) {
-        const fs::path p(extra);
-        if (fs::is_directory(p))
-            collectDir(root, p, files);
-        else if (fs::is_regular_file(p))
-            files.push_back(p);
-        else
-            throw std::runtime_error("ablint: no such path '" +
-                                     extra + "'");
-    }
+    collectDir(root / "src", files);
+    collectDir(root / "tests", files);
     // The linter itself must be deterministic: directory iteration
     // order is filesystem-dependent, so sort by repo-relative path.
     std::sort(files.begin(), files.end(),
               [&](const fs::path &a, const fs::path &b) {
                   return repoRelative(root, a) < repoRelative(root, b);
               });
-    files.erase(std::unique(files.begin(), files.end()),
-                files.end());
 
     ScanInput in;
     for (const auto &p : files)
@@ -121,9 +105,7 @@ loadRepo(const std::string &repoRoot,
     }
 
     const fs::path registry =
-        registryPath.empty()
-            ? root / "tools" / "ablint" / "serialized_state.txt"
-            : fs::path(registryPath);
+        root / "tools" / "ablint" / "serialized_state.txt";
     if (fs::exists(registry))
         in.registryText = readFile(registry);
 
@@ -131,24 +113,9 @@ loadRepo(const std::string &repoRoot,
 }
 
 std::vector<Finding>
-runOnRepo(const std::string &repoRoot, const std::string &baselinePath,
-          const std::string &registryPath,
-          const std::vector<std::string> &extraPaths,
-          RuleProfile *profile)
+runOnRepo(const std::string &repoRoot, RuleProfile *profile)
 {
-    const fs::path root(repoRoot);
-    const ScanInput in = loadRepo(repoRoot, registryPath, extraPaths);
-
-    const std::vector<Finding> raw = runAllRules(in, profile);
-
-    const fs::path baseline =
-        baselinePath.empty()
-            ? root / "tools" / "ablint" / "baseline.txt"
-            : fs::path(baselinePath);
-    const std::string baselineText =
-        fs::exists(baseline) ? readFile(baseline) : std::string();
-    return applyBaseline(raw, baselineText,
-                         repoRelative(root, baseline), in);
+    return runAllRules(loadRepo(repoRoot), profile);
 }
 
 } // namespace biglittle::ablint

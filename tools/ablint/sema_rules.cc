@@ -15,8 +15,9 @@
  *  - layer-cycle         the #include graph respects the src/ layer
  *                        ranks and is acyclic.
  *
- * Plus stale-allow, the mirror of stale-baseline for inline
- * directives, fed by the AllowUse ledger both passes maintain.
+ * Plus stale-allow: an inline directive that suppresses nothing, or
+ * names a rule ablint does not have, is a finding.  It is fed by the
+ * AllowUse ledger every pass maintains.
  */
 
 #include "model.hh"
