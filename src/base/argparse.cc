@@ -211,7 +211,9 @@ ArgParser::helpText() const
         std::string left = "  --" + name;
         if (opt.kind != Kind::flag)
             left += " <value>";
-        out += padRight(left, 30) + opt.help;
+        // Help text starts at column 30, or two spaces after a
+        // longer option.
+        out += padRight(left + "  ", 30) + opt.help;
         if (opt.kind != Kind::flag)
             out += " (default: " + opt.def + ")";
         out += '\n';

@@ -99,7 +99,8 @@ class Deserializer
      * a corrupt or hostile length field: the read fails with
      * outOfRange and returns 0, exactly like an over-read.  Use this
      * instead of a bare getU64() wherever the value sizes an
-     * allocation; ablint's taint-bound rule enforces the habit.
+     * allocation; the fuzz tests fail a decoder that does not
+     * (docs/ROBUSTNESS.md §7).
      */
     std::uint64_t getCount(std::size_t elemSize);
 

@@ -65,8 +65,6 @@ class LoadTracker
     /** Current load in [0, 1024]. */
     double value() const { return load; }
 
-    double halfLife() const { return halfLifeMs; }
-
     /** Reset to zero history. */
     void reset();
 

@@ -84,6 +84,15 @@ TEST(ArgParser, HelpTextMentionsEveryOption)
           "default-name"}) {
         EXPECT_NE(help.find(needle), std::string::npos) << needle;
     }
+    EXPECT_NE(help.find("  --count <value>             an int"),
+              std::string::npos);
+
+    // An option too long for the 30-column pad still keeps two
+    // spaces before its help text.
+    p.addInt("checkpoint-every-ms", 200, "interval");
+    EXPECT_NE(p.helpText().find(
+                  "  --checkpoint-every-ms <value>  interval"),
+              std::string::npos);
 }
 
 TEST(ArgParser, TryParseRejectsUnknownOption)

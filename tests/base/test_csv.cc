@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "base/csv.hh"
+#include "base/strutil.hh"
 
 using namespace biglittle;
 
@@ -92,7 +93,7 @@ TEST_F(CsvTest, MultipleRowsCounted)
         CsvWriter w;
         ASSERT_TRUE(w.open(path).ok());
         for (int i = 0; i < 5; ++i)
-            w.row({"r" + std::to_string(i)});
+            w.row({format("r%d", i)});
         EXPECT_EQ(w.rowsWritten(), 5u);
     }
     std::string content = slurp(path);

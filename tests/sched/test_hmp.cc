@@ -7,6 +7,7 @@
 
 #include <set>
 
+#include "base/strutil.hh"
 #include "sched_fixture.hh"
 
 using namespace biglittle;
@@ -161,8 +162,7 @@ TEST_F(HmpTest, BalancerSpreadsBacklogWithinCluster)
     // little cluster must end up spread across its four cores.
     std::vector<Task *> tasks;
     for (int i = 0; i < 8; ++i) {
-        Task &t = sched.createTask("t" + std::to_string(i),
-                                   pureCompute());
+        Task &t = sched.createTask(format("t%d", i), pureCompute());
         t.submitWork(1e11);
         tasks.push_back(&t);
     }
@@ -184,8 +184,7 @@ TEST_F(HmpTest, WakeupsSpreadAcrossIdleCores)
     // Simultaneously woken independent tasks take distinct cores.
     std::vector<Task *> tasks;
     for (int i = 0; i < 4; ++i) {
-        Task &t = sched.createTask("t" + std::to_string(i),
-                                   pureCompute());
+        Task &t = sched.createTask(format("t%d", i), pureCompute());
         t.submitWork(1e9);
         tasks.push_back(&t);
     }
@@ -199,8 +198,7 @@ TEST_F(HmpTest, OfflineCoresAreNeverChosen)
 {
     plat.applyCoreConfig({2, 0, "L2"});
     for (int i = 0; i < 6; ++i) {
-        Task &t = sched.createTask("t" + std::to_string(i),
-                                   pureCompute());
+        Task &t = sched.createTask(format("t%d", i), pureCompute());
         t.submitWork(1e11);
     }
     sim.runFor(msToTicks(300));

@@ -17,7 +17,6 @@ TEST(LoadTracker, StartsAtZero)
 {
     LoadTracker t(32.0);
     EXPECT_DOUBLE_EQ(t.value(), 0.0);
-    EXPECT_DOUBLE_EQ(t.halfLife(), 32.0);
 }
 
 TEST(LoadTracker, ConvergesToFullScale)

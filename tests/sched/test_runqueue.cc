@@ -5,6 +5,7 @@
  * and core busy-flag maintenance.
  */
 
+#include "base/strutil.hh"
 #include "sched_fixture.hh"
 
 using namespace biglittle;
@@ -159,8 +160,8 @@ TEST_F(RunQueueTest, ManyTasksAllComplete)
     std::vector<RecordingClient> clients(6);
     std::vector<Task *> tasks;
     for (int i = 0; i < 6; ++i) {
-        Task &t = sched.createTask("t" + std::to_string(i),
-                                   pureCompute(), CoreId{0});
+        Task &t = sched.createTask(format("t%d", i), pureCompute(),
+                                   CoreId{0});
         clients[i].sim = &sim;
         t.setClient(&clients[i]);
         t.submitWork(2e6);

@@ -8,6 +8,7 @@
 
 #include <vector>
 
+#include "base/strutil.hh"
 #include "sim/simulation.hh"
 
 using namespace biglittle;
@@ -150,7 +151,7 @@ TEST(Simulation, ManyPeriodicsInterleaveDeterministically)
     for (int i = 0; i < 3; ++i) {
         sim.addPeriodic(
                10, [&log, i](Tick now) { log.emplace_back(now, i); },
-               EventPriority::stats, "t" + std::to_string(i))
+               EventPriority::stats, format("t%d", i))
             .start();
     }
     sim.runUntil(20);

@@ -2,10 +2,9 @@
  * @file
  * ablint's own test suite: every lexical rule gets a known-bad
  * snippet (positive), a suppressed variant, and an allowlisted/clean
- * variant; so do the bounded-decoding and serialization-registry
- * guarantees, checked through the full pass by taint-bound and
- * serialize-coverage; and a meta-test locks the real repo to
- * lint-clean.
+ * variant; so does the serialization-registry guarantee, checked
+ * through the full pass by serialize-coverage; and a meta-test locks
+ * the real repo to lint-clean.
  */
 
 #include <gtest/gtest.h>
@@ -32,7 +31,7 @@ lint(const std::vector<std::pair<std::string, std::string>> &files,
     return ablint::runRules(in);
 }
 
-/** Findings of every pass (lexical, semantic, dataflow). */
+/** Findings of every pass (lexical and semantic). */
 std::vector<ablint::Finding>
 lintAll(const std::vector<std::pair<std::string, std::string>> &files,
         const std::string &registryText = "")
@@ -285,88 +284,6 @@ TEST(AblintVoidDiscard, TestsMayDiscardIntentionally)
     const auto findings =
         lint({{"tests/a.cc", "(void)d.requestFreq(0);\n"}});
     EXPECT_EQ(countRule(findings, "void-discard"), 0u);
-}
-
-// Bounded decoding (docs/ROBUSTNESS.md §7): a count read straight
-// off the wire must not size an allocation unchecked.  taint-bound
-// enforces it; test_abflow.cc covers its call chains.
-
-TEST(AblintDeserBound, FlagsRawReadSizingAllocation)
-{
-    const auto findings = lintAll(
-        {{"src/a.cc",
-          "void f(Deserializer &d) {\n"
-          "    const std::uint64_t n = d.getU64();\n"
-          "    out.resize(n);\n" // unchecked wire count: flagged
-          "}\n"}});
-    EXPECT_EQ(linesOf(findings, "taint-bound"), std::vector<int>{3});
-}
-
-TEST(AblintDeserBound, GetCountAndBoundCheckedAreClean)
-{
-    // getCount() carries the bound check internally.
-    const auto viaGetCount = lintAll(
-        {{"src/a.cc",
-          "void f(Deserializer &d) {\n"
-          "    const std::uint64_t n = d.getCount(8);\n"
-          "    out.resize(n);\n"
-          "}\n"}});
-    EXPECT_EQ(countRule(viaGetCount, "taint-bound"), 0u);
-
-    // An explicit comparison before use counts as a check.
-    const auto compared = lintAll(
-        {{"src/b.cc",
-          "void f(Deserializer &d) {\n"
-          "    const std::uint64_t n = d.getU64();\n"
-          "    if (n > d.left())\n"
-          "        return;\n"
-          "    out.reserve(n);\n"
-          "}\n"}});
-    EXPECT_EQ(countRule(compared, "taint-bound"), 0u);
-
-    // So does clamping through std::min(), template arguments and
-    // all.
-    const auto clamped = lintAll(
-        {{"src/c.cc",
-          "void f(Deserializer &d) {\n"
-          "    const std::uint64_t n = d.getU64();\n"
-          "    out.assign(std::min<std::size_t>(n, 64), 0);\n"
-          "}\n"}});
-    EXPECT_EQ(countRule(clamped, "taint-bound"), 0u);
-}
-
-TEST(AblintDeserBound, FlagsNewArrayAndAssign)
-{
-    const auto findings = lintAll(
-        {{"src/a.cc",
-          "void f(Deserializer &d) {\n"
-          "    const std::uint64_t n = d.getU32();\n"
-          "    auto *buf = new std::uint8_t[n];\n" // flagged
-          "    counts.assign(n, 0);\n" // flagged
-          "}\n"}});
-    EXPECT_EQ(linesOf(findings, "taint-bound"),
-              (std::vector<int>{3, 4}));
-}
-
-TEST(AblintDeserBound, SuppressedAndTestScopedVariants)
-{
-    const auto suppressed = lintAll(
-        {{"src/a.cc",
-          "void f(Deserializer &d) {\n"
-          "    const std::uint64_t n = d.getU64();\n"
-          "    // ablint:allow(taint-bound): n is a enum tag, <= 8\n"
-          "    out.resize(n);\n"
-          "}\n"}});
-    EXPECT_EQ(countRule(suppressed, "taint-bound"), 0u);
-    EXPECT_EQ(countRule(suppressed, "stale-allow"), 0u);
-
-    const auto inTest = lintAll(
-        {{"tests/a.cc",
-          "void f(Deserializer &d) {\n"
-          "    const std::uint64_t n = d.getU64();\n"
-          "    out.resize(n);\n"
-          "}\n"}});
-    EXPECT_EQ(countRule(inTest, "taint-bound"), 0u);
 }
 
 // The serialization registry (tools/ablint/serialized_state.txt):

@@ -4,8 +4,9 @@
  * (templates, nested classes, macros, default member initializers,
  * out-of-line definitions, ctor init-lists), positive and negative
  * coverage for every semantic rule (serialize-coverage, rng-stream,
- * layer-cycle, stale-allow), post-init-fatal on call chains below
- * Experiment::runApp, and the CI output formats.
+ * layer-cycle, status-drop, stale-allow), post-init-fatal on call
+ * chains below Experiment::runApp, the --profile timings, and the CI
+ * output formats.
  */
 
 #include <gtest/gtest.h>
@@ -500,6 +501,106 @@ TEST(AbsemaLayerCycle, SameLayerCycleIsFlagged)
 }
 
 /* ------------------------------------------------------------------ */
+/* status-drop                                                         */
+/* ------------------------------------------------------------------ */
+
+/** status-drop findings of the semantic pass over in-memory files. */
+std::vector<ablint::Finding>
+statusDrops(const std::vector<std::pair<std::string, std::string>> &files)
+{
+    return ofRule(ablint::runSemaRules(input(files)), "status-drop");
+}
+
+TEST(AbsemaStatusDrop, OverwrittenAndDyingStatusesAreFlagged)
+{
+    const auto hits = statusDrops(
+        {{"src/a.cc",
+          "void f(Writer &w) {\n"
+          "    Status st = w.writeHeader();\n"
+          "    st = w.writeBody();\n"
+          "}\n"}});
+    // writeHeader's status is overwritten unread; writeBody's dies.
+    ASSERT_EQ(hits.size(), 2u);
+    EXPECT_EQ(hits[0].line, 2);
+    EXPECT_NE(hits[0].message.find("overwritten (line 3)"),
+              std::string::npos);
+    EXPECT_EQ(hits[1].line, 3);
+    EXPECT_NE(hits[1].message.find("dies"), std::string::npos);
+}
+
+TEST(AbsemaStatusDrop, ResultLocalsAreTrackedToo)
+{
+    const auto hits = statusDrops(
+        {{"src/a.cc",
+          "void f(Parser &p) {\n"
+          "    Result<std::int64_t> r = p.parseInt();\n"
+          "}\n"}});
+    EXPECT_EQ(hits.size(), 1u);
+}
+
+TEST(AbsemaStatusDrop, InlineAllowSuppresses)
+{
+    const auto in = input(
+        {{"src/a.cc",
+          "void f(Writer &w) {\n"
+          "    // ablint:allow(status-drop): best-effort flush\n"
+          "    Status st = w.flush();\n"
+          "}\n"}});
+    ablint::AllowUse uses;
+    EXPECT_TRUE(
+        ofRule(ablint::runSemaRules(in, &uses), "status-drop")
+            .empty());
+    // The ledger records the suppression, so stale-allow keeps it.
+    ASSERT_EQ(uses.count({"src/a.cc", 3}), 1u);
+    EXPECT_EQ(uses.at({"src/a.cc", 3}).count("status-drop"), 1u);
+}
+
+TEST(AbsemaStatusDrop, BranchedPropagatedAndNeutralAreClean)
+{
+    const auto hits = statusDrops(
+        {{"src/a.cc",
+          "Status f(Writer &w) {\n"
+          "    Status st = w.writeHeader();\n"
+          "    if (!st.ok()) { return st; }\n"
+          "    st = w.writeBody();\n"
+          "    return st;\n"
+          "}\n"
+          "void g(Writer &w) {\n"
+          "    Status st = okStatus();\n"
+          "    if (bad()) { st = w.abort(); }\n"
+          "    log(st);\n"
+          "}\n"
+          "void h(Writer &w) {\n"
+          "    Status st = w.flush();\n"
+          "}\n"}});
+    // Only the control in h(), whose status dies unread, is flagged.
+    ASSERT_EQ(hits.size(), 1u);
+    EXPECT_EQ(hits[0].line, 13);
+}
+
+TEST(AbsemaStatusDrop, LoopCarriedUseIsClean)
+{
+    // The def at the loop tail is read at the head of the next
+    // iteration: a use in the same loop keeps it alive.  A loop
+    // with no use (the control in g()) does not.
+    const auto hits = statusDrops(
+        {{"src/a.cc",
+          "void f(Stepper &s) {\n"
+          "    Status st = okStatus();\n"
+          "    while (st.ok()) {\n"
+          "        st = s.step();\n"
+          "    }\n"
+          "}\n"
+          "void g(Stepper &s) {\n"
+          "    for (int i = 0; i < 3; ++i) {\n"
+          "        Status st = s.step();\n"
+          "    }\n"
+          "}\n"}});
+    ASSERT_EQ(hits.size(), 1u);
+    EXPECT_EQ(hits[0].line, 9);
+}
+
+/* ------------------------------------------------------------------ */
 /* stale-allow                                                         */
 /* ------------------------------------------------------------------ */
 
@@ -532,17 +633,19 @@ TEST(AbsemaStaleAllow, UnknownRuleNameIsFlagged)
 
 TEST(AbsemaStaleAllow, DeletedRuleNamesAreUnknown)
 {
-    // Neither unit-mix nor stale-baseline is a rule: a directive
-    // naming one is unknown, not merely unused.
+    // None of unit-mix, stale-baseline and taint-bound is a rule: a
+    // directive naming one is unknown, not merely unused.
     const auto in = input(
         {{"src/sim/a.cc",
           "// ablint:allow(unit-mix): x\n"
           "int x = 0;\n"
           "// ablint:allow(stale-baseline): y\n"
-          "int y = 0;\n"}});
+          "int y = 0;\n"
+          "// ablint:allow(taint-bound): z\n"
+          "int z = 0;\n"}});
     const auto hits =
         ofRule(ablint::runAllRules(in), "stale-allow");
-    ASSERT_EQ(hits.size(), 2u);
+    ASSERT_EQ(hits.size(), 3u);
     for (const auto &hit : hits)
         EXPECT_NE(hit.message.find("unknown rule"), std::string::npos)
             << hit.message;
@@ -562,6 +665,28 @@ TEST(AbsemaStaleAllow, UsedDirectivesAreClean)
     EXPECT_TRUE(ofRule(findings, "stale-allow").empty());
     EXPECT_TRUE(ofRule(findings, "wall-clock").empty());
     EXPECT_TRUE(ofRule(findings, "rng-stream").empty());
+}
+
+/* ------------------------------------------------------------------ */
+/* --profile                                                           */
+/* ------------------------------------------------------------------ */
+
+TEST(AbsemaProfile, PerRuleTimingsAreRecorded)
+{
+    const auto in = input({{"src/a.cc", "int x = 0;\n"}});
+    ablint::RuleProfile profile;
+    ablint::runAllRules(in, &profile);
+    // stale-allow runs after every pass, untimed.
+    for (const std::string &rule : ablint::ruleNames()) {
+        if (rule == "stale-allow")
+            continue;
+        ASSERT_EQ(profile.count(rule), 1u) << rule;
+        EXPECT_GE(profile.at(rule), 0.0) << rule;
+    }
+    ASSERT_EQ(profile.count("sema-model-build"), 1u);
+    EXPECT_GE(profile.at("sema-model-build"), 0.0);
+    // One model build serves every semantic rule.
+    EXPECT_EQ(profile.count("flow-model-build"), 0u);
 }
 
 /* ------------------------------------------------------------------ */

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/strutil.hh"
 #include "platform/platform.hh"
 #include "sched/hmp.hh"
 #include "sim/simulation.hh"
@@ -126,9 +127,9 @@ TEST_F(InputEventsTest, PoissonStopHalts)
 TEST_F(InputEventsTest, PoissonIsDeterministicPerSeed)
 {
     auto run_once = [this](std::uint64_t seed) {
-        Task &t =
-            sched.createTask("t" + std::to_string(seed),
-                             WorkClass{0.8, 0.0, 64.0});
+        Task &t = sched.createTask(
+            format("t%llu", static_cast<unsigned long long>(seed)),
+            WorkClass{0.8, 0.0, 64.0});
         BurstBehavior b(sim, t, Rng(seed));
         PoissonInputParams params;
         params.meanInterArrival = msToTicks(30);

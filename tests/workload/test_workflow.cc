@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/strutil.hh"
 #include "platform/perf_model.hh"
 #include "platform/platform.hh"
 #include "sched/hmp.hh"
@@ -38,7 +39,7 @@ class WorkflowTest : public ::testing::Test
         Task &ui_task = sched.createTask("ui", wc);
         ui = std::make_unique<BurstBehavior>(sim, ui_task, Rng(1));
         for (int i = 0; i < 2; ++i) {
-            Task &t = sched.createTask("w" + std::to_string(i), wc);
+            Task &t = sched.createTask(format("w%d", i), wc);
             workers.push_back(
                 std::make_unique<BurstBehavior>(sim, t, Rng(2 + i)));
             workerPtrs.push_back(workers.back().get());

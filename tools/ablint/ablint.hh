@@ -41,21 +41,12 @@
  *                    / namedStream() / fork();
  *  - layer-cycle     the #include graph respects the layer order of
  *                    src/ (docs/STATIC_ANALYSIS.md) and is acyclic;
+ *  - status-drop     a Status/Result local in a function body that
+ *                    is assigned and then overwritten, or dies,
+ *                    without ever being branched on, propagated, or
+ *                    logged;
  *  - stale-allow     an inline allow directive that no longer
  *                    suppresses anything is itself a finding.
- *
- * On top of absema sits abflow (flow.hh), an intraprocedural def-use
- * engine over function bodies composed bottom-up over the call graph
- * via per-function summaries (param-in -> return/sink-out):
- *
- *  - taint-bound     interprocedural taint from untrusted decode
- *                    surfaces (raw Deserializer::getU64-family
- *                    reads, config/argv numeric parses) to
- *                    allocation-size, loop-bound and index sinks,
- *                    sanitized by getCount()/clamp comparisons;
- *  - status-drop     a Status/Result local that is assigned and
- *                    then overwritten, or dies, without ever being
- *                    branched on, propagated, or logged.
  *
  * Suppression: `// ablint:allow(rule[,rule]): why` on the violating
  * line or the line directly above it, and nowhere else.  A directive
@@ -166,7 +157,7 @@ using AllowUse =
 
 /**
  * Per-rule wall time in milliseconds, keyed by rule name (plus the
- * "model-build" entry for the shared entity-model parse).  Filled by
+ * "sema-model-build" entry for the entity-model parse).  Filled by
  * the rule passes when non-null; rendered by `ablint --profile`.
  */
 using RuleProfile = std::map<std::string, double>;
@@ -183,21 +174,11 @@ std::vector<Finding> runRules(const ScanInput &in,
 
 /**
  * Run the semantic (entity-model) rules: serialize-coverage,
- * rng-stream, layer-cycle.  Builds the model (tools/ablint/model.hh)
- * from @p in internally and feeds the same Finding / inline-allow
- * machinery as runRules().
+ * rng-stream, layer-cycle, status-drop.  Builds the model
+ * (tools/ablint/model.hh) from @p in internally and feeds the same
+ * Finding / inline-allow machinery as runRules().
  */
 std::vector<Finding> runSemaRules(const ScanInput &in,
-                                  AllowUse *uses = nullptr,
-                                  RuleProfile *profile = nullptr);
-
-/**
- * Run the dataflow (abflow) rules: taint-bound, status-drop.
- * Builds the flow model (tools/ablint/flow.hh) from
- * @p in internally; same Finding / inline-allow machinery as the
- * other passes.
- */
-std::vector<Finding> runFlowRules(const ScanInput &in,
                                   AllowUse *uses = nullptr,
                                   RuleProfile *profile = nullptr);
 
@@ -209,10 +190,7 @@ std::vector<Finding> runFlowRules(const ScanInput &in,
 std::vector<Finding> staleAllowFindings(const ScanInput &in,
                                         const AllowUse &uses);
 
-/**
- * runRules + runSemaRules + runFlowRules + staleAllowFindings,
- * sorted.
- */
+/** runRules + runSemaRules + staleAllowFindings, sorted. */
 std::vector<Finding> runAllRules(const ScanInput &in,
                                  RuleProfile *profile = nullptr);
 

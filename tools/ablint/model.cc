@@ -721,9 +721,6 @@ class FileParser
             fn.line = toks[s.firstParen].line;
             fn.bodyBegin = body + 1;
             fn.bodyEnd = bodyEnd > 0 ? bodyEnd - 1 : bodyEnd;
-            fn.paramBegin = s.firstParen + 1;
-            fn.paramEnd = parenClose > 0 ? parenClose - 1 : 0;
-            fn.headBegin = start;
             m.functionsByName[fn.name].push_back(
                 m.functions.size());
             m.functions.push_back(std::move(fn));

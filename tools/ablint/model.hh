@@ -70,17 +70,6 @@ struct FunctionDef
     /** Body token range [bodyBegin, bodyEnd) into file->tokens. */
     std::size_t bodyBegin = 0;
     std::size_t bodyEnd = 0;
-
-    /**
-     * Parameter-list token range [paramBegin, paramEnd) into
-     * file->tokens: the tokens between the declaration's '(' and
-     * its matching ')'.  Empty range for `()`.
-     */
-    std::size_t paramBegin = 0;
-    std::size_t paramEnd = 0;
-
-    /** First token of the declaration (return type onward). */
-    std::size_t headBegin = 0;
 };
 
 /** One `#include "..."` edge. */

@@ -521,9 +521,7 @@ ruleNames()
         "post-init-fatal",
         // absema (semantic) rules, sema_rules.cc:
         "serialize-coverage", "rng-stream", "layer-cycle",
-        "stale-allow",
-        // abflow (dataflow) rules, flow_rules.cc:
-        "taint-bound", "status-drop",
+        "status-drop", "stale-allow",
     };
     return names;
 }

@@ -1,9 +1,9 @@
 /**
  * @file
  * Internals shared by the lexical rule pass (rules.cc) and the
- * semantic and dataflow passes (sema_rules.cc, flow_rules.cc): token
- * predicates, the inline-allow aware finding sink, and rule timing.
- * Not part of the public ablint API.
+ * semantic pass (sema_rules.cc): token predicates, the inline-allow
+ * aware finding sink, and rule timing.  Not part of the public
+ * ablint API.
  */
 
 #ifndef BIGLITTLE_TOOLS_ABLINT_SINK_HH
@@ -40,7 +40,7 @@ lineAllows(const LexedFile &f, int line, const std::string &rule)
 /**
  * Run @p fn, accumulating its wall time under @p name in @p profile
  * (in milliseconds) when a profile is requested.  Backs ablint's
- * --profile flag across all three passes.
+ * --profile flag across both passes.
  */
 template <typename Fn>
 void

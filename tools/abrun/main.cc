@@ -42,6 +42,7 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -219,14 +220,35 @@ main(int argc, char **argv)
     args.parse(argc, argv);
 
     // Check the numbers before the report dir is made or a cell
-    // forks: a negative count would wrap to a huge unsigned value
-    // (--seeds -1 asks for 2^64-1 cells), and the watchdog needs a
-    // positive stall limit.
-    for (const char *name : {"seeds", "retries", "alarm-sec",
-                             "checkpoint-every-ms",
-                             "persistent-crash-at-ms"}) {
-        if (args.getInt(name) < 0) {
-            std::fprintf(stderr, "abrun: --%s must be >= 0\n", name);
+    // forks.  Each must fit the field it lands in, or it would wrap:
+    // --seeds -1 asks for 2^64-1 cells, --jobs 2^32 forks nothing
+    // and waits forever, and an _ms value above maxTick / oneMs
+    // overflows when scaled to ticks.  --jobs below 1 runs one job.
+    // The watchdog needs a positive stall limit.
+    constexpr std::int64_t u32Max =
+        std::numeric_limits<std::uint32_t>::max();
+    constexpr auto msMax = static_cast<std::int64_t>(maxTick / oneMs);
+    const struct
+    {
+        const char *name;
+        std::int64_t min;
+        std::int64_t max;
+    } bounds[] = {
+        {"seeds", 0, std::numeric_limits<std::int64_t>::max()},
+        {"retries", 0, u32Max},
+        {"jobs", std::numeric_limits<std::int64_t>::min(), u32Max},
+        {"alarm-sec", 0, u32Max},
+        {"checkpoint-every-ms", 0, msMax},
+        {"persistent-crash-at-ms", 0, msMax},
+        {"persistent-crash-core", -1, std::int64_t{invalidCoreId} - 1},
+    };
+    for (const auto &b : bounds) {
+        const std::int64_t v = args.getInt(b.name);
+        if (v < b.min || v > b.max) {
+            std::fprintf(stderr, "abrun: --%s must be %s %lld\n",
+                         b.name, v < b.min ? ">=" : "<=",
+                         static_cast<long long>(v < b.min ? b.min
+                                                          : b.max));
             return exitUsage;
         }
     }
