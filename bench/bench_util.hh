@@ -305,13 +305,16 @@ reportCheckpointOverhead(const AppRunResult &r)
                  r.checkpoints.lastPath.c_str());
 }
 
-/** Run @p apps under @p cfg, with progress lines on stderr. */
+/**
+ * Run @p apps under @p cfg, with progress lines on stderr, and one
+ * more for each run that resumed from a verified checkpoint.
+ */
 inline std::vector<AppRunResult>
 runApps(const ExperimentConfig &cfg, const std::vector<AppSpec> &apps)
 {
     // A checkpoint belongs to exactly one (app, config) run; on a
-    // multi-app bench, resume only the run it matches instead of
-    // dying on the identity check of the first unrelated app.
+    // multi-app bench, resume only the run it matches.  Every other
+    // app would fail runApp's identity check, warn, and start fresh.
     std::optional<Checkpoint> resume;
     if (!cfg.snapshot.resumePath.empty()) {
         Result<Checkpoint> loaded =
@@ -336,6 +339,14 @@ runApps(const ExperimentConfig &cfg, const std::vector<AppSpec> &apps)
         Experiment experiment(run_cfg);
         results.push_back(experiment.runApp(app));
         exitIfRunFailed(results.back());
+        if (results.back().resumedFrom > 0) {
+            std::fprintf(stderr,
+                         "  [%s] %s: resumed at tick %llu, state "
+                         "verified\n",
+                         cfg.label.c_str(), app.name.c_str(),
+                         static_cast<unsigned long long>(
+                             results.back().resumedFrom));
+        }
         reportCheckpointOverhead(results.back());
     }
     return results;

@@ -45,11 +45,10 @@ Serializer::putDouble(double v)
 }
 
 void
-Serializer::putBytes(const void *data, std::size_t len)
+Serializer::putString(const std::string &s)
 {
-    putU64(len);
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    buf.insert(buf.end(), p, p + len);
+    putU64(s.size());
+    buf.insert(buf.end(), s.begin(), s.end());
 }
 
 bool
@@ -89,18 +88,18 @@ Deserializer::getU64()
     return v;
 }
 
-std::vector<std::uint8_t>
-Deserializer::getBytes()
+std::string
+Deserializer::getString()
 {
     const std::uint64_t len = getU64();
     if (!st.ok() || len > remaining) {
         if (st.ok())
-            st = outOfRange("deserializer: byte block past end");
+            st = outOfRange("deserializer: string past end");
         return {};
     }
     if (!charge(len))
         return {};
-    std::vector<std::uint8_t> out(ptr, ptr + len);
+    std::string out(reinterpret_cast<const char *>(ptr), len);
     ptr += len;
     remaining -= len;
     return out;
@@ -143,13 +142,6 @@ Deserializer::charge(std::size_t bytes)
     }
     allocBudget -= bytes;
     return true;
-}
-
-std::string
-Deserializer::getString()
-{
-    const std::vector<std::uint8_t> raw = getBytes();
-    return std::string(raw.begin(), raw.end());
 }
 
 } // namespace biglittle

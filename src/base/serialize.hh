@@ -1,6 +1,7 @@
 /**
  * @file
- * Binary state (de)serialization for checkpoints and state digests.
+ * Binary state serialization for state digests, and the bounded
+ * reader of the checkpoint and trace containers.
  *
  * The encoding is deliberately dumb: fixed-width little-endian
  * primitives, doubles as their IEEE-754 bit patterns, strings as
@@ -8,10 +9,12 @@
  * contract is "the same state serializes to the same bytes", and a
  * format with no discretion (no varints, no text rounding, no
  * map-iteration ambiguity) makes that property trivial to audit.
- * Every multi-field component writes its fields in one fixed order;
- * a version field at the container level (see snapshot/checkpoint.hh)
+ * Every multi-field component writes its fields in one fixed order,
+ * and a checkpoint keeps only the fnv1a64 digest() of those bytes; a
+ * version field at the container level (see snapshot/checkpoint.hh)
  * guards layout evolution.  Component state is never decoded back:
- * the Deserializer reads only the checkpoint and trace containers.
+ * the Deserializer reads only the checkpoint and trace containers
+ * (snapshot/container.hh).
  */
 
 #ifndef BIGLITTLE_BASE_SERIALIZE_HH
@@ -48,11 +51,8 @@ class Serializer
     /** IEEE-754 bit pattern; bit-exact round trip. */
     void putDouble(double v);
 
-    /** Length-prefixed raw bytes. */
-    void putBytes(const void *data, std::size_t len);
-
     /** Length-prefixed string. */
-    void putString(const std::string &s) { putBytes(s.data(), s.size()); }
+    void putString(const std::string &s);
 
     const std::vector<std::uint8_t> &bytes() const { return buf; }
     std::vector<std::uint8_t> takeBytes() { return std::move(buf); }
@@ -88,7 +88,6 @@ class Deserializer
     std::uint32_t getU32();
     std::uint64_t getU64();
     std::int64_t getI64() { return static_cast<std::int64_t>(getU64()); }
-    std::vector<std::uint8_t> getBytes();
     std::string getString();
 
     /**
@@ -106,7 +105,7 @@ class Deserializer
 
     /**
      * Arm the cumulative allocation budget: after this call, bytes
-     * "admitted" by getBytes()/getString()/getCount() (count *
+     * "admitted" by getString()/getCount() (count *
      * elemSize) are charged against `multiple * left() + slack`,
      * and the first read that would exceed the budget fails with
      * outOfRange.  This bounds total memory a decode can commit to a

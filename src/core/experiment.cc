@@ -53,33 +53,7 @@ AppRunResult::performanceValue() const
 Status
 compareStateDigests(const AppRunResult &a, const AppRunResult &b)
 {
-    if (a.stateDigests.size() != b.stateDigests.size()) {
-        return internalError(format(
-            "state digest section counts differ: %zu vs %zu",
-            a.stateDigests.size(), b.stateDigests.size()));
-    }
-    for (std::size_t i = 0; i < a.stateDigests.size(); ++i) {
-        const auto &[nameA, digestA] = a.stateDigests[i];
-        const auto &[nameB, digestB] = b.stateDigests[i];
-        if (nameA != nameB) {
-            return internalError(format(
-                "state digest section %zu named '%s' vs '%s'", i,
-                nameA.c_str(), nameB.c_str()));
-        }
-        // The eventq digest folds in per-event sequence numbers,
-        // which legitimately differ under a permuted tie-break.
-        if (nameA == "eventq")
-            continue;
-        if (digestA != digestB) {
-            return internalError(format(
-                "state digests diverge in section '%s': "
-                "%016llx vs %016llx",
-                nameA.c_str(),
-                static_cast<unsigned long long>(digestA),
-                static_cast<unsigned long long>(digestB)));
-        }
-    }
-    return okStatus();
+    return compareSections(a.stateDigests, b.stateDigests, "eventq");
 }
 
 namespace
@@ -176,10 +150,10 @@ struct Rig
 };
 
 /**
- * Snapshot the full mutable state of a rigged run as named sections.
- * The section list is the checkpoint contract: every component with
- * state that can drift between runs must appear here, because resume
- * verification byte-compares exactly these sections.
+ * Fingerprint the full mutable state of a rigged run as named section
+ * digests.  The section list is the checkpoint contract: every
+ * component with state that can drift between runs must appear here,
+ * because resume verification compares exactly these digests.
  */
 Checkpoint
 collectCheckpoint(Rig &rig, AppInstance &instance,
@@ -191,37 +165,23 @@ collectCheckpoint(Rig &rig, AppInstance &instance,
     ckpt.label = cfg.label;
     ckpt.masterSeed = cfg.masterSeed;
     ckpt.tick = rig.sim.now();
-    ckpt.eventsServiced = rig.sim.eventQueue().eventsServiced();
-    ckpt.nextSequence = rig.sim.eventQueue().nextSequenceValue();
 
-    const auto section = [&ckpt](const std::string &name, auto &&fill) {
+    const auto section = [&ckpt](std::string name, auto &component) {
         Serializer s;
-        fill(s);
-        ckpt.add(name, s.takeBytes());
+        component.serialize(s);
+        ckpt.sections.emplace_back(std::move(name), s.digest());
     };
-    section("eventq",
-            [&](Serializer &s) { rig.sim.eventQueue().serialize(s); });
-    for (std::size_t i = 0; i < rig.platform.clusterCount(); ++i) {
-        section(format("cluster.%zu", i), [&](Serializer &s) {
-            rig.platform.cluster(i).serialize(s);
-        });
-    }
-    for (std::size_t i = 0; i < rig.throttles.size(); ++i) {
-        section(format("thermal.%zu", i), [&](Serializer &s) {
-            rig.throttles[i]->serialize(s);
-        });
-    }
-    section("sched", [&](Serializer &s) { rig.sched.serialize(s); });
-    for (std::size_t i = 0; i < rig.governors.size(); ++i) {
-        section(format("governor.%zu", i), [&](Serializer &s) {
-            rig.governors[i]->serialize(s);
-        });
-    }
-    if (rig.injector != nullptr) {
-        section("fault",
-                [&](Serializer &s) { rig.injector->serialize(s); });
-    }
-    section("app", [&](Serializer &s) { instance.serialize(s); });
+    section("eventq", rig.sim.eventQueue());
+    for (std::size_t i = 0; i < rig.platform.clusterCount(); ++i)
+        section(format("cluster.%zu", i), rig.platform.cluster(i));
+    for (std::size_t i = 0; i < rig.throttles.size(); ++i)
+        section(format("thermal.%zu", i), *rig.throttles[i]);
+    section("sched", rig.sched);
+    for (std::size_t i = 0; i < rig.governors.size(); ++i)
+        section(format("governor.%zu", i), *rig.governors[i]);
+    if (rig.injector != nullptr)
+        section("fault", *rig.injector);
+    section("app", instance);
     return ckpt;
 }
 
@@ -454,10 +414,10 @@ Experiment::runApp(const AppSpec &app)
         watchdog.heartbeat();
 
         if (!resume_verified && rig.sim.now() >= resume_tick) {
-            // The fast-forward reached the checkpoint's tick: the
-            // live state must now equal the file byte for byte, or
-            // the "resumed" run would silently diverge from the one
-            // that wrote the checkpoint.  A mismatch is intercepted
+            // The fast-forward reached the checkpoint's tick: every
+            // live section digest must now equal the file's, or the
+            // "resumed" run would silently diverge from the one that
+            // wrote the checkpoint.  A mismatch is intercepted
             // as a failure (never fatal): unsupervised callers get a
             // failed result, a supervisor falls back to an older
             // checkpoint or a fresh start.
@@ -620,7 +580,8 @@ Experiment::runApp(const AppSpec &app)
     if (app.metric == AppMetric::latency) {
         result.latency = instance.done() ? instance.latency()
                                          : result.simulatedTime;
-        if (!instance.done())
+        // A failed run stopped early; it never reached the cap.
+        if (!instance.done() && !result.failed)
             warn("app '%s' hit the simulation cap before finishing",
                  app.name.c_str());
     } else {
@@ -657,16 +618,11 @@ Experiment::runApp(const AppSpec &app)
             result.invariantSummary = final_sweep.toString();
     }
 
-    // End-state fingerprint: one digest per checkpoint section, so
+    // End-state fingerprint: the sections of a final checkpoint, so
     // two runs of the same config can be compared for bit-identity
     // without writing checkpoint files (compareStateDigests).
-    const Checkpoint final_state =
-        collectCheckpoint(rig, instance, cfg, app.name);
-    result.stateDigests.reserve(final_state.sections.size());
-    for (const CheckpointSection &sec : final_state.sections) {
-        result.stateDigests.emplace_back(
-            sec.name, fnv1a64(sec.payload.data(), sec.payload.size()));
-    }
+    result.stateDigests =
+        collectCheckpoint(rig, instance, cfg, app.name).sections;
     return result;
 }
 

@@ -63,12 +63,11 @@ struct SnapshotParams
 
     /**
      * Resume from this checkpoint: the run deterministically
-     * re-executes up to the checkpoint's tick, byte-compares every
-     * state section against the file, and then continues.  No
-     * section is decoded back into a component.  A mismatch ends the
-     * run with a failed result (trigger resume-divergence) naming the
-     * differing section.  Requires the same config, app, and seeds
-     * that produced the checkpoint.
+     * re-executes up to the checkpoint's tick, compares every live
+     * section digest against the file, and then continues.  A
+     * mismatch ends the run with a failed result (trigger
+     * resume-divergence) naming the differing section.  Requires the
+     * same config, app, and seeds that produced the checkpoint.
      */
     std::string resumePath;
 
@@ -151,8 +150,8 @@ struct RecoveryParams
 
     /**
      * Roll back to this checkpoint: the run re-executes to its tick
-     * and byte-compares every section, exactly as a file resume does.
-     * Replaces snapshot.resumePath when set.
+     * and compares every section digest, exactly as a file resume
+     * does.  Replaces snapshot.resumePath when set.
      */
     std::optional<Checkpoint> rollback;
 
@@ -307,21 +306,21 @@ struct AppRunResult
     std::string raceReport; ///< TSan-style details, empty when clean
 
     /**
-     * Per-section fnv1a64 digest of the final full-state checkpoint,
-     * in section order ("eventq", "cluster.N", ..., "app").  Always
-     * populated; the permuted tie-break replay byte-compares these
-     * between a fifo run and a lifo/shuffle rerun via
-     * compareStateDigests().
+     * The sections of a checkpoint taken once the run ends: one
+     * fnv1a64 digest per component, in section order ("eventq",
+     * "cluster.N", ..., "app").  Always populated; the permuted
+     * tie-break replay compares these between a fifo run and a
+     * lifo/shuffle rerun via compareStateDigests().
      */
-    std::vector<std::pair<std::string, std::uint64_t>> stateDigests;
+    SectionDigests stateDigests;
 
     /** Headline performance number: ms latency or average FPS. */
     double performanceValue() const;
 };
 
 /**
- * Compare the end-state digests of two runs of the same config.
- * Matches section by section but skips "eventq": its digest folds in
+ * Compare the end-state digests of two runs of the same config with
+ * compareSections(), skipping the digest of "eventq": it folds in
  * per-event sequence numbers, which legitimately differ under a
  * permuted tie-break even when the runs are otherwise bit-identical
  * (docs/DETERMINISM.md lists this as a known blind spot).  Returns

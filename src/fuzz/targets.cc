@@ -162,12 +162,10 @@ CheckpointFuzzTarget::seedInputs() const
     rich.label = "chaos";
     rich.masterSeed = 99;
     rich.tick = 1u << 20;
-    rich.eventsServiced = 54321;
-    rich.nextSequence = 77;
-    rich.add("eventq", std::vector<std::uint8_t>(256, 0xAB));
-    rich.add("sched", {1, 2, 3});
-    rich.add("empty-payload", {});
-    rich.add(std::string(200, 'n'), {9});
+    rich.sections = {{"eventq", 0xABABABABABABABABull},
+                     {"sched", 0x0102030405060708ull},
+                     {"", 0},
+                     {std::string(200, 'n'), 9}};
     seeds.push_back(rich.encode());
 
     return seeds;

@@ -68,9 +68,6 @@ class Task
 
     const WorkClass &workClass() const { return wc; }
 
-    /** Change the work character; effective from the next slice. */
-    void setWorkClass(const WorkClass &work_class) { wc = work_class; }
-
     /** Core this task is queued/running on (null when sleeping). */
     Core *core() const { return curCore; }
 
@@ -108,9 +105,6 @@ class Task
         return type == CoreType::big ? bigRuntime : littleRuntime;
     }
 
-    /** Total execution time on any core. */
-    Tick totalRuntime() const { return littleRuntime + bigRuntime; }
-
     /** Attribute @p dt of execution to cores of @p type. */
     void
     addRuntime(CoreType type, Tick dt)
@@ -120,9 +114,6 @@ class Task
 
     /** Times this task migrated between core types. */
     std::uint64_t typeMigrations() const { return migrations; }
-
-    /** Tick at which the task last became runnable. */
-    Tick runnableSince() const { return runnableStart; }
 
     /** Core the task most recently ran on (wakeup affinity hint). */
     CoreId lastCoreId() const { return lastCore; }

@@ -116,9 +116,6 @@ class EventQueue
     /** Total events serviced since construction. */
     std::uint64_t eventsServiced() const { return serviced; }
 
-    /** Sequence number the next schedule() will hand out. */
-    std::uint64_t nextSequenceValue() const { return nextSequence; }
-
     /**
      * Install (or clear, with nullptr) the single service hook.  The
      * event-trace recorder uses it for both trace record and replay,
@@ -178,9 +175,9 @@ class EventQueue
      * priority, sequence, name-hash) in firing order.  Two runs with
      * identical behavior produce identical bytes; the digest form is
      * used because pending events (closures) cannot themselves be
-     * reconstructed from bytes.  Like every section, it is only ever
-     * compared: resume re-executes to the checkpoint tick and
-     * byte-compares it (docs/DETERMINISM.md).
+     * reconstructed from bytes.  Like every section, only its digest
+     * is kept: resume re-executes to the checkpoint tick and compares
+     * the digests (docs/DETERMINISM.md).
      */
     void serialize(Serializer &s) const;
 

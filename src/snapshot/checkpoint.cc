@@ -3,101 +3,58 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 
 #include "base/logging.hh"
-#include "base/serialize.hh"
 #include "base/strutil.hh"
+#include "snapshot/container.hh"
 
 namespace biglittle
 {
 
-void
-Checkpoint::add(std::string name, std::vector<std::uint8_t> payload)
+namespace
 {
-    sections.push_back({std::move(name), std::move(payload)});
-}
 
-const CheckpointSection *
-Checkpoint::find(const std::string &name) const
-{
-    for (const CheckpointSection &sec : sections) {
-        if (sec.name == name)
-            return &sec;
-    }
-    return nullptr;
-}
+constexpr ContainerFormat checkpointFormat{"checkpoint", checkpointMagic,
+                                           checkpointVersion};
+
+} // namespace
 
 std::vector<std::uint8_t>
 Checkpoint::encode() const
 {
-    Serializer s;
-    s.putU32(checkpointMagic);
-    s.putU32(checkpointVersion);
+    Serializer s = checkpointFormat.begin();
     s.putString(app);
     s.putString(label);
     s.putU64(masterSeed);
     s.putU64(tick);
-    s.putU64(eventsServiced);
-    s.putU64(nextSequence);
     s.putU64(sections.size());
-    for (const CheckpointSection &sec : sections) {
-        s.putString(sec.name);
-        s.putBytes(sec.payload.data(), sec.payload.size());
+    for (const auto &[name, digest] : sections) {
+        s.putString(name);
+        s.putU64(digest);
     }
-    const std::uint64_t checksum = s.digest();
-    s.putU64(checksum);
-    return s.takeBytes();
+    return ContainerFormat::seal(s);
 }
 
 Result<Checkpoint>
 Checkpoint::decode(const std::vector<std::uint8_t> &bytes)
 {
-    if (bytes.size() < 8)
-        return invalidArgument("checkpoint truncated");
-    // The checksum covers every byte before its own 8.
-    const std::size_t body = bytes.size() - 8;
-    Deserializer tail(bytes.data() + body, 8);
-    const std::uint64_t want = tail.getU64();
-    const std::uint64_t have = fnv1a64(bytes.data(), body);
-    if (want != have) {
-        return invalidArgument(format(
-            "checkpoint checksum mismatch: stored %016llx, computed "
-            "%016llx (file damaged or truncated)",
-            static_cast<unsigned long long>(want),
-            static_cast<unsigned long long>(have)));
-    }
-
-    Deserializer d(bytes.data(), body);
-    // Even a checksum-valid file is untrusted: cap what decoding may
-    // allocate to a small multiple of the input so a crafted count
-    // or length field cannot balloon memory.
-    d.limitAllocations(2, 4096);
-    if (d.getU32() != checkpointMagic)
-        return invalidArgument("not a checkpoint file (bad magic)");
-    const std::uint32_t version = d.getU32();
-    if (version != checkpointVersion) {
-        return invalidArgument(format(
-            "unsupported checkpoint version %u (this build reads %u)",
-            version, checkpointVersion));
-    }
+    Result<Deserializer> body = checkpointFormat.open(bytes);
+    if (!body.ok())
+        return body.status();
+    Deserializer &d = body.value();
 
     Checkpoint ckpt;
     ckpt.app = d.getString();
     ckpt.label = d.getString();
     ckpt.masterSeed = d.getU64();
     ckpt.tick = d.getU64();
-    ckpt.eventsServiced = d.getU64();
-    ckpt.nextSequence = d.getU64();
-    // The smallest possible section is two empty length-prefixed
-    // blobs (16 bytes), which bounds a sane sectionCount.
+    // Every record is a length-prefixed name and a digest, at least
+    // 16 bytes, which bounds a sane sectionCount.
     const std::uint64_t count = d.getCount(16);
     ckpt.sections.reserve(count);
     for (std::uint64_t i = 0; i < count && d.ok(); ++i) {
-        CheckpointSection sec;
-        sec.name = d.getString();
-        sec.payload = d.getBytes();
-        ckpt.sections.push_back(std::move(sec));
+        std::string name = d.getString();
+        ckpt.sections.emplace_back(std::move(name), d.getU64());
     }
     if (!d.ok())
         return invalidArgument("checkpoint body truncated");
@@ -114,16 +71,6 @@ Status
 Checkpoint::writeBytes(const std::string &path,
                        const std::vector<std::uint8_t> &bytes)
 {
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return unavailable("cannot open '" + tmp + "' for writing");
-        out.write(reinterpret_cast<const char *>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
-        if (!out)
-            return unavailable("short write to '" + tmp + "'");
-    }
     // Keep previous checkpoints as a <path>.1 -> <path>.2 chain so a
     // corrupt write (power cut mid-flush, disk full) by a rerun into
     // the same directory never clobbers the newest good copy: the
@@ -132,29 +79,23 @@ Checkpoint::writeBytes(const std::string &path,
     // checkpoint.  Failure to rotate is not fatal: the new write
     // proceeds anyway.  (Supervised rollbacks keep their checkpoints
     // in memory and never rewrite a path.)
-    std::error_code ec;
-    if (std::filesystem::exists(path + ".1", ec))
-        std::rename((path + ".1").c_str(), (path + ".2").c_str());
-    if (std::filesystem::exists(path, ec))
-        std::rename(path.c_str(), (path + ".1").c_str());
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return unavailable("cannot rename '" + tmp + "' to '" + path +
-                           "'");
-    }
-    return okStatus();
+    return ContainerFormat::writeFile(path, bytes, [&path] {
+        std::error_code ec;
+        if (std::filesystem::exists(path + ".1", ec))
+            std::rename((path + ".1").c_str(), (path + ".2").c_str());
+        if (std::filesystem::exists(path, ec))
+            std::rename(path.c_str(), (path + ".1").c_str());
+    });
 }
 
 Result<Checkpoint>
 Checkpoint::readFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return notFound("cannot open checkpoint '" + path + "'");
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    return decode(bytes);
+    const Result<std::vector<std::uint8_t>> bytes =
+        checkpointFormat.readFile(path);
+    if (!bytes.ok())
+        return bytes.status();
+    return decode(bytes.value());
 }
 
 std::vector<std::string>
@@ -252,6 +193,35 @@ loadCheckpointWithFallback(
 }
 
 Status
+compareSections(const SectionDigests &expected,
+                const SectionDigests &actual, const std::string &skip)
+{
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        const auto &[name, want] = expected[i];
+        if (i >= actual.size())
+            return internalError("section '" + name + "' missing");
+        const auto &[have_name, have] = actual[i];
+        if (have_name != name) {
+            return internalError(format(
+                "section %zu is '%s', expected '%s'", i,
+                have_name.c_str(), name.c_str()));
+        }
+        if (name != skip && have != want) {
+            return internalError(format(
+                "state diverged in section '%s': expected digest "
+                "%016llx, actual digest %016llx",
+                name.c_str(), static_cast<unsigned long long>(want),
+                static_cast<unsigned long long>(have)));
+        }
+    }
+    if (actual.size() > expected.size()) {
+        return internalError("extra section '" +
+                             actual[expected.size()].first + "'");
+    }
+    return okStatus();
+}
+
+Status
 compareCheckpoints(const Checkpoint &expected, const Checkpoint &actual)
 {
     if (expected.tick != actual.tick) {
@@ -260,32 +230,7 @@ compareCheckpoints(const Checkpoint &expected, const Checkpoint &actual)
             static_cast<unsigned long long>(expected.tick),
             static_cast<unsigned long long>(actual.tick)));
     }
-    for (const CheckpointSection &want : expected.sections) {
-        const CheckpointSection *have = actual.find(want.name);
-        if (have == nullptr) {
-            return internalError("section '" + want.name +
-                                 "' missing from live state");
-        }
-        if (have->payload != want.payload) {
-            return internalError(format(
-                "state diverged in section '%s': checkpoint digest "
-                "%016llx (%zu bytes), live digest %016llx (%zu bytes)",
-                want.name.c_str(),
-                static_cast<unsigned long long>(fnv1a64(
-                    want.payload.data(), want.payload.size())),
-                want.payload.size(),
-                static_cast<unsigned long long>(fnv1a64(
-                    have->payload.data(), have->payload.size())),
-                have->payload.size()));
-        }
-    }
-    for (const CheckpointSection &have : actual.sections) {
-        if (expected.find(have.name) == nullptr) {
-            return internalError("live state has extra section '" +
-                                 have.name + "'");
-        }
-    }
-    return okStatus();
+    return compareSections(expected.sections, actual.sections);
 }
 
 } // namespace biglittle

@@ -1,29 +1,30 @@
 /**
  * @file
- * Checkpoint: a versioned container of named binary state sections,
+ * Checkpoint: a versioned, checksummed list of named state digests,
  * with crash-safe file I/O.
  *
- * A checkpoint captures everything mutable about a run at one tick:
- * each simulation component contributes one section of bytes written
- * with a Serializer.  The file layout is
+ * A checkpoint fingerprints everything mutable about a run at one
+ * tick: each simulation component contributes one section, the
+ * fnv1a64 digest of the bytes its serialize() writes.  The file
+ * layout (snapshot/container.hh frames it) is
  *
  *   magic u32 | version u32 | app string | label string |
- *   masterSeed u64 | tick u64 | eventsServiced u64 |
- *   nextSequence u64 | sectionCount u64 |
- *   (name string | payload bytes) * sectionCount | checksum u64
+ *   masterSeed u64 | tick u64 | sectionCount u64 |
+ *   (name string | digest u64) * sectionCount | checksum u64
  *
  * where checksum is the FNV-1a hash of every byte before it.  Writes
  * go to a temporary file that is renamed into place, so a crash
  * mid-write can never leave a truncated checkpoint under the real
- * name; reads validate magic, version, and checksum and return a
+ * name; reads validate checksum, magic, and version and return a
  * Status instead of crashing on a damaged file.
  *
- * Sections are compared, never decoded: nothing rebuilds a component
- * from these bytes (the event queue alone holds closures that could
- * not round-trip through a file).  Resume re-executes
- * deterministically up to `tick` and then byte-compares every section
- * against the live state (see docs/DETERMINISM.md), so the sections
- * double as a tamper-evident fingerprint of the run.
+ * Nothing rebuilds a component from a checkpoint (the event queue
+ * alone holds closures that could not round-trip through a file).
+ * Resume re-executes deterministically up to `tick` and then compares
+ * every live section digest against the file (see
+ * docs/DETERMINISM.md), so a checkpoint is a tamper-evident
+ * fingerprint of the run, and the same digest list is a run's
+ * end-state fingerprint (AppRunResult::stateDigests).
  */
 
 #ifndef BIGLITTLE_SNAPSHOT_CHECKPOINT_HH
@@ -43,40 +44,32 @@ namespace biglittle
 
 /**
  * File format magic ("BLCK") and the current layout version.  The
- * version covers every section's bytes, not just the container
- * framing: bump it whenever any section's bytes change (v2:
- * FaultInjector gained the crash/invariant-break/suppressed counters;
- * v3 changed no byte).  Sections are only ever compared, never
- * decoded, so there is no under-read to prevent: the bump makes a file
- * written with an old layout fail at decode, up front, instead of
- * failing resume verification after the whole fast-forward.
+ * version covers every section's digest, not just the container
+ * framing: bump it whenever any section's serialized bytes change
+ * (v2: FaultInjector gained the crash/invariant-break/suppressed
+ * counters; v3 changed no byte; v4 stores each section's digest
+ * instead of its bytes and drops the serviced/sequence header
+ * counters, which the eventq section already holds).  The bump makes
+ * a file written with an old layout fail at decode, up front, instead
+ * of failing resume verification after the whole fast-forward.
  */
 constexpr std::uint32_t checkpointMagic = 0x424C434BU;
-constexpr std::uint32_t checkpointVersion = 3;
+constexpr std::uint32_t checkpointVersion = 4;
 
-/** One component's serialized state. */
-struct CheckpointSection
-{
-    std::string name;
-    std::vector<std::uint8_t> payload;
-};
+/**
+ * Named fnv1a64 state digests, one per component, in collection order
+ * ("eventq", "cluster.N", ..., "app").
+ */
+using SectionDigests = std::vector<std::pair<std::string, std::uint64_t>>;
 
-/** A full simulation snapshot at one tick. */
+/** A full simulation fingerprint at one tick. */
 struct Checkpoint
 {
     std::string app; ///< workload identity guard
     std::string label; ///< config label guard
     std::uint64_t masterSeed = 0;
     Tick tick = 0;
-    std::uint64_t eventsServiced = 0;
-    std::uint64_t nextSequence = 0;
-    std::vector<CheckpointSection> sections;
-
-    /** Append a named section. */
-    void add(std::string name, std::vector<std::uint8_t> payload);
-
-    /** Section by name, or nullptr. */
-    const CheckpointSection *find(const std::string &name) const;
+    SectionDigests sections;
 
     /** Encode to the flat file layout (including the checksum). */
     std::vector<std::uint8_t> encode() const;
@@ -129,12 +122,18 @@ std::vector<std::string> checkpointCandidates(const std::string &path);
     const std::function<Status(const Checkpoint &)> &accept = nullptr);
 
 /**
- * Compare two checkpoints section by section.  Returns ok when every
- * section matches byte for byte; otherwise names the first differing
- * (or missing) section and the digests of both sides, which
- * attributes nondeterminism to a component instead of a vague
+ * Compare two section digest lists, position by position, skipping
+ * the digest (not the presence) of the section named @p skip.
+ * Returns ok when every section matches; otherwise names the first
+ * differing, missing or extra section and the digests of both sides,
+ * which attributes nondeterminism to a component instead of a vague
  * "results differ".
  */
+[[nodiscard]] Status compareSections(const SectionDigests &expected,
+                                     const SectionDigests &actual,
+                                     const std::string &skip = "");
+
+/** Compare the ticks, then the sections (compareSections). */
 [[nodiscard]] Status compareCheckpoints(const Checkpoint &expected,
                                         const Checkpoint &actual);
 

@@ -1,12 +1,10 @@
 #include "snapshot/event_trace.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 
 #include "base/logging.hh"
-#include "base/serialize.hh"
 #include "base/strutil.hh"
+#include "snapshot/container.hh"
 
 namespace biglittle
 {
@@ -46,12 +44,18 @@ Divergence::describe() const
     return out;
 }
 
+namespace
+{
+
+constexpr ContainerFormat traceFormat{"event trace", traceMagic,
+                                      traceVersion};
+
+} // namespace
+
 std::vector<std::uint8_t>
 EventTrace::encode() const
 {
-    Serializer s;
-    s.putU32(traceMagic);
-    s.putU32(traceVersion);
+    Serializer s = traceFormat.begin();
     s.putU64(records.size());
     for (const TraceRecord &r : records) {
         s.putU64(r.when);
@@ -59,32 +63,17 @@ EventTrace::encode() const
         s.putU64(r.sequence);
         s.putString(r.name);
     }
-    s.putU64(s.digest());
-    return s.takeBytes();
+    return ContainerFormat::seal(s);
 }
 
 Result<EventTrace>
 EventTrace::decode(const std::vector<std::uint8_t> &bytes)
 {
-    if (bytes.size() < 8)
-        return invalidArgument("event trace truncated");
-    const std::size_t body = bytes.size() - 8;
-    Deserializer tail(bytes.data() + body, 8);
-    if (tail.getU64() != fnv1a64(bytes.data(), body))
-        return invalidArgument("event trace checksum mismatch");
+    Result<Deserializer> body = traceFormat.open(bytes);
+    if (!body.ok())
+        return body.status();
+    Deserializer &d = body.value();
 
-    Deserializer d(bytes.data(), body);
-    // Cap decode-time allocations at a small multiple of the input:
-    // a crafted count or string length must not balloon memory.
-    d.limitAllocations(2, 4096);
-    if (d.getU32() != traceMagic)
-        return invalidArgument("not an event trace (bad magic)");
-    const std::uint32_t version = d.getU32();
-    if (version != traceVersion) {
-        return invalidArgument(format(
-            "unsupported trace version %u (this build reads %u)",
-            version, traceVersion));
-    }
     EventTrace trace;
     // A record is at least when+priority+sequence+name-length =
     // 32 bytes, which bounds any honest count field.
@@ -106,35 +95,17 @@ EventTrace::decode(const std::vector<std::uint8_t> &bytes)
 Status
 EventTrace::writeFile(const std::string &path) const
 {
-    const std::vector<std::uint8_t> bytes = encode();
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return unavailable("cannot open '" + tmp + "' for writing");
-        out.write(reinterpret_cast<const char *>(bytes.data()),
-                  static_cast<std::streamsize>(bytes.size()));
-        if (!out)
-            return unavailable("short write to '" + tmp + "'");
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return unavailable("cannot rename '" + tmp + "' to '" + path +
-                           "'");
-    }
-    return okStatus();
+    return ContainerFormat::writeFile(path, encode());
 }
 
 Result<EventTrace>
 EventTrace::readFile(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return notFound("cannot open event trace '" + path + "'");
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    return decode(bytes);
+    const Result<std::vector<std::uint8_t>> bytes =
+        traceFormat.readFile(path);
+    if (!bytes.ok())
+        return bytes.status();
+    return decode(bytes.value());
 }
 
 EventTraceRecorder::~EventTraceRecorder()

@@ -12,6 +12,12 @@
  * The recorder taps EventQueue::setServiceHook.  Record and replay
  * both use it: replay records the run too, and once the run ends
  * compareTraces() finds the first event where it left the reference.
+ *
+ * A trace file is framed like a checkpoint (snapshot/container.hh):
+ *
+ *   magic u32 | version u32 | recordCount u64 |
+ *   (when u64 | priority i64 | sequence u64 | name string)
+ *       * recordCount | checksum u64
  */
 
 #ifndef BIGLITTLE_SNAPSHOT_EVENT_TRACE_HH
@@ -60,14 +66,14 @@ struct EventTrace
 {
     std::vector<TraceRecord> records;
 
-    /** Encode to bytes (magic, version, count, records, checksum). */
+    /** Encode to the file layout above (including the checksum). */
     std::vector<std::uint8_t> encode() const;
 
-    /** Decode; rejects bad magic/version/checksum. */
+    /** Decode; rejects bad checksum/magic/version/truncation. */
     [[nodiscard]] static Result<EventTrace>
     decode(const std::vector<std::uint8_t> &bytes);
 
-    /** Atomically write to @p path. */
+    /** Atomically write to @p path (tmp file + rename). */
     [[nodiscard]] Status writeFile(const std::string &path) const;
 
     /** Read and decode @p path. */
@@ -107,7 +113,6 @@ class EventTraceRecorder
     void detach();
 
     const EventTrace &trace() const { return recorded; }
-    EventTrace takeTrace() { return std::move(recorded); }
 
   private:
     EventQueue *queuePtr = nullptr;

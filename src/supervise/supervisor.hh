@@ -24,7 +24,7 @@
  * 8 in all.  Rollback targets never touch the disk: each attempt
  * keeps its periodic checkpoints in memory, the supervisor holds the
  * newest one per tick, and the next attempt re-executes to the
- * chosen tick and byte-compares its state against it.
+ * chosen tick and compares its section digests against it.
  *
  * Every decision is a timed RecoveryAction appended to the config's
  * recovery script and replayed by all later attempts at the same

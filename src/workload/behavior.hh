@@ -67,9 +67,6 @@ class Behavior : public TaskClient
      */
     void setWorkPriority(EventPriority prio) { workPrio = prio; }
 
-    /** The slot assigned by setWorkPriority(). */
-    EventPriority workPriority() const { return workPrio; }
-
   protected:
     Simulation &sim;
     Task &taskRef;

@@ -47,12 +47,6 @@ class FrameStats
     /** Frame-to-frame intervals in milliseconds. */
     SampleSeries frameIntervalsMs() const;
 
-    /** Raw completion ticks. */
-    const std::vector<Tick> &completionTicks() const
-    {
-        return completions;
-    }
-
     /** Write the completion record. */
     void serialize(Serializer &s) const;
 

@@ -28,11 +28,9 @@ sampleCheckpoint()
     ckpt.label = "default";
     ckpt.masterSeed = 11;
     ckpt.tick = 987654;
-    ckpt.eventsServiced = 1234;
-    ckpt.nextSequence = 56;
-    ckpt.add("eventq", {1, 2, 3, 4, 5});
-    ckpt.add("sched", std::vector<std::uint8_t>(64, 0xCD));
-    ckpt.add("empty", {});
+    ckpt.sections = {{"eventq", 0x0102030405ull},
+                     {"sched", 0xCDCDCDCDCDCDCDCDull},
+                     {"", 0}};
     return ckpt;
 }
 

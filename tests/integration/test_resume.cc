@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <sys/stat.h>
@@ -231,6 +232,48 @@ TEST(Resume, CheckpointOverheadIsReported)
         Checkpoint::readFile(r.checkpoints.lastPath);
     ASSERT_TRUE(last.ok()) << last.status().message();
     EXPECT_EQ(last.value().tick, msToTicks(1500));
+}
+
+TEST(Resume, TamperedDigestFailsAtTheCheckpointTick)
+{
+    // A checkpoint that decodes but no longer matches the state the
+    // fast-forward reaches must end the run as a resume-divergence
+    // failure at the checkpoint's tick, naming the section.  The run
+    // stopped early, so it must not claim it hit the simulation cap.
+    AppSpec app = virusScannerApp();
+    app.seed = 3;
+    const std::string dir = scratchDir("bl_resume_tampered");
+    ExperimentConfig ckpt_cfg;
+    ckpt_cfg.snapshot.checkpointEvery = msToTicks(300);
+    ckpt_cfg.snapshot.checkpointDir = dir;
+    const AppRunResult written = Experiment(ckpt_cfg).runApp(app);
+    ASSERT_GT(written.checkpoints.count, 0u);
+
+    const Result<Checkpoint> loaded =
+        Checkpoint::readFile(written.checkpoints.lastPath);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+    Checkpoint tampered = loaded.value();
+    const auto sched = std::find_if(
+        tampered.sections.begin(), tampered.sections.end(),
+        [](const auto &section) { return section.first == "sched"; });
+    ASSERT_NE(sched, tampered.sections.end());
+    sched->second ^= 1;
+    const std::string path = dir + "/tampered.ckpt";
+    ASSERT_TRUE(tampered.writeFile(path).ok());
+
+    ExperimentConfig resume_cfg;
+    resume_cfg.snapshot.resumePath = path;
+    ::testing::internal::CaptureStderr();
+    const AppRunResult r = Experiment(resume_cfg).runApp(app);
+    const std::string log = ::testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(r.failed);
+    EXPECT_EQ(r.failureTrigger, RecoveryTrigger::resumeDivergence);
+    EXPECT_EQ(r.failedAt, tampered.tick);
+    EXPECT_EQ(r.resumedFrom, 0u);
+    EXPECT_NE(r.failureDetail.find("section 'sched'"), std::string::npos)
+        << r.failureDetail;
+    EXPECT_EQ(log.find("hit the simulation cap"), std::string::npos)
+        << log;
 }
 
 TEST(Resume, MismatchedIdentityFallsBackToFreshRun)

@@ -291,16 +291,15 @@ TEST(EventQueue, SequenceNumbersAreMonotonic)
     EventQueue q;
     std::vector<int> log;
     LogEvent a(log, 1), b(log, 2);
-    EXPECT_EQ(q.nextSequenceValue(), 0u);
     q.schedule(a, 10);
-    EXPECT_EQ(q.nextSequenceValue(), 1u);
+    EXPECT_EQ(a.sequenceNumber(), 0u);
     q.schedule(b, 20);
-    EXPECT_EQ(q.nextSequenceValue(), 2u);
+    EXPECT_EQ(b.sequenceNumber(), 1u);
     q.runUntil(20);
     // Servicing never reuses sequence numbers.
     LogEvent c(log, 3);
     q.schedule(c, 30);
-    EXPECT_EQ(q.nextSequenceValue(), 3u);
+    EXPECT_EQ(c.sequenceNumber(), 2u);
 }
 
 TEST(EventQueue, CountsServicedEvents)

@@ -1,9 +1,9 @@
 /**
  * @file
- * Checkpoint sections are compared, never decoded: resume and
- * rollback re-execute to the checkpoint tick and byte-compare each
- * section.  So the property a section serializer must have is run
- * stability - two identical runs serialize identical bytes - and the
+ * A checkpoint keeps only each section's digest: resume and rollback
+ * re-execute to the checkpoint tick and compare the digests.  So the
+ * property a section serializer must have is run stability - two
+ * identical runs serialize identical bytes - and the
  * Deserializer that checkpoint and trace decoding rest on must fail
  * softly on short input.
  */

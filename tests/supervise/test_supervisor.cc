@@ -4,8 +4,9 @@
  * (small) experiment runs.  Clean pass-through, quarantine of a
  * persistently failing core, class-disable fallback when the faulty
  * core cannot be hotplugged out, fresh-start recovery without
- * checkpoints, byte-identical recovery decisions per seed, and a
- * golden of the report digests of a small chaos sweep.
+ * checkpoints, byte-identical recovery decisions per seed, a fresh
+ * restart after a rollback target fails verification, and a golden
+ * of the report digests of a small chaos sweep.
  */
 
 #include <gtest/gtest.h>
@@ -239,6 +240,34 @@ encoder s3 degraded 8b862ea17d972576
         }
     }
     EXPECT_EQ(actual, golden) << "actual table:" << actual;
+}
+
+TEST(Supervisor, DivergentRollbackTargetRestartsFresh)
+{
+    // A rollback target whose digests the re-executed state does not
+    // reach fails resume verification.  The supervisor retries from
+    // a fresh start (the failed attempt kept no checkpoint) and ends
+    // on the same state as a clean supervised run.
+    ExperimentConfig cfg = supervisedConfig("sup_diverge", 5);
+    const SupervisedRunResult clean = Supervisor(cfg).run(bbenchApp());
+    ASSERT_EQ(clean.report.outcome, RecoveryOutcome::clean);
+
+    ExperimentConfig attempt = cfg;
+    attempt.recovery.supervised = true;
+    const AppRunResult first = Experiment(attempt).runApp(bbenchApp());
+    ASSERT_FALSE(first.checkpoints.kept.empty());
+    Checkpoint target = first.checkpoints.kept.back();
+    target.sections.back().second ^= 1;
+
+    cfg.recovery.rollback = target;
+    const SupervisedRunResult r = Supervisor(cfg).run(bbenchApp());
+    EXPECT_EQ(r.report.outcome, RecoveryOutcome::recovered);
+    EXPECT_EQ(r.report.attempts, 2u);
+    ASSERT_EQ(r.report.events.size(), 1u);
+    EXPECT_EQ(r.report.events[0].trigger,
+              RecoveryTrigger::resumeDivergence);
+    EXPECT_EQ(r.report.events[0].rollbackTo, 0u);
+    EXPECT_EQ(r.report.finalStateDigest, clean.report.finalStateDigest);
 }
 
 TEST(Supervisor, RollbackNeedsNoCheckpointFiles)

@@ -224,6 +224,8 @@ main(int argc, char **argv)
     // --seeds -1 asks for 2^64-1 cells, --jobs 2^32 forks nothing
     // and waits forever, and an _ms value above maxTick / oneMs
     // overflows when scaled to ticks.  --jobs below 1 runs one job.
+    // Master seed 0 selects the legacy per-spec seeds, so a
+    // --seed-base below 1 would mix both seeding modes in one sweep.
     // The watchdog needs a positive stall limit.
     constexpr std::int64_t u32Max =
         std::numeric_limits<std::uint32_t>::max();
@@ -235,6 +237,7 @@ main(int argc, char **argv)
         std::int64_t max;
     } bounds[] = {
         {"seeds", 0, std::numeric_limits<std::int64_t>::max()},
+        {"seed-base", 1, std::numeric_limits<std::int64_t>::max()},
         {"retries", 0, u32Max},
         {"jobs", std::numeric_limits<std::int64_t>::min(), u32Max},
         {"alarm-sec", 0, u32Max},
@@ -266,14 +269,24 @@ main(int argc, char **argv)
     } else if (apps == "fps") {
         opt.apps = fpsApps();
     } else {
+        const std::vector<AppSpec> known = allApps();
         std::size_t start = 0;
         while (start <= apps.size()) {
             const auto comma = apps.find(',', start);
             const std::string name = apps.substr(
                 start, comma == std::string::npos ? std::string::npos
                                                   : comma - start);
-            if (!name.empty())
-                opt.apps.push_back(appByName(name));
+            if (!name.empty()) {
+                const auto it = std::find_if(
+                    known.begin(), known.end(),
+                    [&](const AppSpec &app) { return app.name == name; });
+                if (it == known.end()) {
+                    std::fprintf(stderr, "abrun: unknown app '%s'\n",
+                                 name.c_str());
+                    return exitUsage;
+                }
+                opt.apps.push_back(*it);
+            }
             if (comma == std::string::npos)
                 break;
             start = comma + 1;
