@@ -110,8 +110,9 @@ struct RaceParams
     std::uint64_t shuffleSeed = 1;
 
     /**
-     * abrace suppression baseline to load (empty = none).  The
-     * checked-in tools/abrace/baseline.txt is empty and stays so.
+     * Unread: abrace has no suppression baseline any more.  It stays
+     * declared only because perfbench/rig.cc's mirrored() check names
+     * it; both go together in the next change to the benchmark.
      */
     std::string baselinePath;
 };
@@ -301,8 +302,7 @@ struct AppRunResult
     std::uint64_t scriptApplied = 0; ///< recovery actions applied
 
     // abrace (populated when cfg.race.detect)
-    std::uint64_t raceConflicts = 0; ///< distinct unsuppressed conflicts
-    std::uint64_t raceSuppressed = 0; ///< occurrences suppressed
+    std::uint64_t raceConflicts = 0; ///< distinct conflicts
     std::string raceReport; ///< TSan-style details, empty when clean
 
     /**

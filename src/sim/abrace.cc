@@ -1,7 +1,6 @@
 #include "sim/abrace.hh"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -13,27 +12,6 @@ namespace biglittle
 
 namespace
 {
-
-/** Exact match, or prefix match when @p pattern ends in '*'. */
-bool
-globMatch(const std::string &pattern, const std::string &text)
-{
-    if (!pattern.empty() && pattern.back() == '*') {
-        const std::size_t n = pattern.size() - 1;
-        return text.compare(0, n, pattern, 0, n) == 0;
-    }
-    return pattern == text;
-}
-
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    std::size_t e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
-}
 
 const char *
 mode(bool write)
@@ -68,10 +46,8 @@ RaceDetector::Conflict::describe() const
        << "  seen " << count << " time(s); service order between these"
        << " events is an arbitrary tie-break.\n"
        << "  Fix: give the handlers distinct EventPriority values"
-       << " (docs/DETERMINISM.md), or if the accesses\n"
-       << "  are provably commutative, suppress with"
-       << " RaceDetector::allow() or a baseline line:\n"
-       << "    " << key() << "\n";
+       << " (docs/DETERMINISM.md).\n"
+       << "  conflict key: " << key() << "\n";
     return os.str();
 }
 
@@ -112,51 +88,6 @@ RaceDetector::note(std::string_view component, std::string_view field,
         a.write = true;
     else
         a.read = true;
-}
-
-void
-RaceDetector::allow(std::string_view eventA, std::string_view eventB,
-                    std::string_view cell)
-{
-    allowRules.push_back(AllowRule{std::string(eventA),
-                                   std::string(eventB),
-                                   std::string(cell)});
-}
-
-void
-RaceDetector::loadBaselineText(const std::string &text)
-{
-    std::istringstream is(text);
-    std::string line;
-    while (std::getline(is, line)) {
-        line = trim(line);
-        if (line.empty() || line[0] == '#')
-            continue;
-        const std::size_t p1 = line.find('|');
-        const std::size_t p2 =
-            p1 == std::string::npos ? std::string::npos
-                                    : line.find('|', p1 + 1);
-        if (p2 == std::string::npos) {
-            warn("abrace baseline: ignoring malformed line '%s'",
-                 line.c_str());
-            continue;
-        }
-        allow(trim(line.substr(0, p1)),
-              trim(line.substr(p1 + 1, p2 - p1 - 1)),
-              trim(line.substr(p2 + 1)));
-    }
-}
-
-Status
-RaceDetector::loadBaseline(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        return notFound("abrace baseline not readable: " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    loadBaselineText(buf.str());
-    return okStatus();
 }
 
 std::string
@@ -305,20 +236,6 @@ RaceDetector::isAncestor(std::uint64_t ancestorSeq,
     return false;
 }
 
-bool
-RaceDetector::allowed(const std::string &a, const std::string &b,
-                      const std::string &cell) const
-{
-    for (const AllowRule &rule : allowRules) {
-        const bool pairMatch =
-            (globMatch(rule.a, a) && globMatch(rule.b, b)) ||
-            (globMatch(rule.a, b) && globMatch(rule.b, a));
-        if (pairMatch && globMatch(rule.cell, cell))
-            return true;
-    }
-    return false;
-}
-
 void
 RaceDetector::analyzeBatch()
 {
@@ -348,10 +265,6 @@ RaceDetector::analyzeBatch()
                     // write on either side is order-sensitive.
                     if (!pa.write && !oa.write)
                         continue;
-                    if (allowed(names[a.name], names[b.name], cell)) {
-                        ++suppressed;
-                        continue;
-                    }
                     const bool probeIsA = (&probe == &a);
                     Conflict c;
                     c.tick = batchTick;
@@ -389,8 +302,7 @@ RaceDetector::report() const
     for (const Conflict &c : found)
         os << c.describe() << "\n";
     os << "abrace: " << found.size() << " distinct conflict(s), "
-       << suppressed << " occurrence(s) suppressed, " << batches
-       << " multi-event batch(es) analyzed, " << tracked
+       << batches << " multi-event batch(es) analyzed, " << tracked
        << " event(s) tracked\n";
     return os.str();
 }

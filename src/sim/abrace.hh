@@ -37,11 +37,8 @@
  * Provenance is kept as plain fields and formatted only when a
  * Conflict is built.
  *
- * Suppression mirrors ablint: an inline `allow(eventA, eventB, cell)`
- * call for individually justified pairs (trailing-`*` globs
- * supported), plus a checked-in baseline file
- * (`tools/abrace/baseline.txt`, kept empty) of `eventA|eventB|cell`
- * lines for adopting the detector on a tree with known debt.
+ * Nothing is suppressed: every conflict is reported, and the fix is
+ * to give the handlers distinct EventPriority values.
  *
  * The companion to detection is *proof*: EventQueue::setTieBreak()
  * reverses (lifo) or seeded-shuffles the service order within each
@@ -61,7 +58,6 @@
 #include <string_view>
 #include <vector>
 
-#include "base/status.hh"
 #include "base/types.hh"
 #include "sim/eventq.hh"
 
@@ -95,7 +91,7 @@ class RaceDetector
         /** Multi-line TSan-style report of this conflict. */
         std::string describe() const;
 
-        /** Canonical `eventA|eventB|cell` baseline key (sorted). */
+        /** Canonical `eventA|eventB|cell` key (sorted): the dedup key. */
         std::string key() const;
     };
 
@@ -111,30 +107,6 @@ class RaceDetector
 
     /** Charge a write likewise.  A write dominates a prior read. */
     void noteWrite(std::string_view component, std::string_view field);
-
-    // ---- suppression ----------------------------------------------
-
-    /**
-     * Inline allow: conflicts between events matching @p eventA and
-     * @p eventB (either order) on cells matching @p cell are
-     * suppressed.  Patterns are exact strings or trailing-`*` globs
-     * (`"*"` matches everything).  Mirrors ablint's inline
-     * `ablint:allow` - each call should be individually justified.
-     */
-    void allow(std::string_view eventA, std::string_view eventB,
-               std::string_view cell);
-
-    /**
-     * Load a baseline file of `eventA|eventB|cell` suppression lines
-     * (`#` comments, blank lines ignored).  The checked-in baseline
-     * (tools/abrace/baseline.txt) is empty and must stay that way -
-     * new conflicts get fixed (distinct priorities) or inline-allowed
-     * with a reason, exactly like ablint's baseline discipline.
-     */
-    [[nodiscard]] Status loadBaseline(const std::string &path);
-
-    /** Parse baseline text directly (filesystem-free, for tests). */
-    void loadBaselineText(const std::string &text);
 
     // ---- event queue integration ----------------------------------
 
@@ -160,11 +132,8 @@ class RaceDetector
 
     // ---- results --------------------------------------------------
 
-    /** Distinct unsuppressed conflicts, in first-occurrence order. */
+    /** Distinct conflicts, in first-occurrence order. */
     const std::vector<Conflict> &conflicts() const { return found; }
-
-    /** Conflict occurrences swallowed by allow()/baseline rules. */
-    std::uint64_t suppressedCount() const { return suppressed; }
 
     /** Same-key batches in which more than one event touched state. */
     std::uint64_t batchesAnalyzed() const { return batches; }
@@ -215,13 +184,6 @@ class RaceDetector
         std::map<std::string, Access, std::less<>> cells;
     };
 
-    struct AllowRule
-    {
-        std::string a;
-        std::string b;
-        std::string cell;
-    };
-
     void note(std::string_view component, std::string_view field,
               bool write);
     Pending *findPending(std::uint64_t sequence);
@@ -231,8 +193,6 @@ class RaceDetector
     void analyzeBatch();
     bool isAncestor(std::uint64_t ancestorSeq,
                     std::uint64_t seq) const;
-    bool allowed(const std::string &a, const std::string &b,
-                 const std::string &cell) const;
 
     // Open batch state.
     bool batchOpen = false;
@@ -262,11 +222,8 @@ class RaceDetector
     std::vector<std::string> names;
     std::map<std::string, std::uint32_t, std::less<>> nameIndex;
 
-    std::vector<AllowRule> allowRules;
-
     std::vector<Conflict> found;
     std::map<std::string, std::size_t> foundIndex; ///< dedup by key
-    std::uint64_t suppressed = 0;
     std::uint64_t batches = 0;
     std::uint64_t tracked = 0;
 };

@@ -170,14 +170,18 @@ Supervisor::run(const AppSpec &app)
             const Tick roll_tick = rollBack((std::size_t{1} << k) - 2);
             ev.rollbackTo = roll_tick;
 
-            RecoveryAction act;
-            act.atTick = roll_tick;
-            act.kind = RecoveryActionKind::perturbFaultRng;
-            act.arg = deriveStreamSeed(
-                cfg.masterSeed, format("recover.rng.%u", perturb));
-            act.detail = format("%s retry %u",
-                                ev.incident.c_str(), inc.retries);
-            addAction(std::move(act));
+            // Without a fault injector there is no fault stream to
+            // perturb, and the retry is a plain rollback.
+            if (cfg.fault.enabled) {
+                RecoveryAction act;
+                act.atTick = roll_tick;
+                act.kind = RecoveryActionKind::perturbFaultRng;
+                act.arg = deriveStreamSeed(
+                    cfg.masterSeed, format("recover.rng.%u", perturb));
+                act.detail = format("%s retry %u",
+                                    ev.incident.c_str(), inc.retries);
+                addAction(std::move(act));
+            }
             if (r.failureTrigger == RecoveryTrigger::watchdogStall) {
                 // A stall can be order-dependent: also permute the
                 // same-tick service order of the retried attempt.

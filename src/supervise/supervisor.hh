@@ -11,8 +11,8 @@
  *   retry   roll back to a good checkpoint (exponentially further
  *           back on repeats of the same incident) and re-run with a
  *           bounded, seed-derived perturbation: the fault injector's
- *           stream is re-drawn and, for stalls, the event queue's
- *           tie-break permuted;
+ *           stream is re-drawn (when faults are enabled) and, for
+ *           stalls, the event queue's tie-break permuted;
  *   quarantine   when an incident survives its per-incident retry
  *           budget (or the total budget is spent), remove the
  *           offending component: hotplug the faulty core out for

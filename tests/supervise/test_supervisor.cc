@@ -247,7 +247,8 @@ TEST(Supervisor, DivergentRollbackTargetRestartsFresh)
     // A rollback target whose digests the re-executed state does not
     // reach fails resume verification.  The supervisor retries from
     // a fresh start (the failed attempt kept no checkpoint) and ends
-    // on the same state as a clean supervised run.
+    // on the same state as a clean supervised run.  Faults are off,
+    // so the retry perturbs nothing and applies no action.
     ExperimentConfig cfg = supervisedConfig("sup_diverge", 5);
     const SupervisedRunResult clean = Supervisor(cfg).run(bbenchApp());
     ASSERT_EQ(clean.report.outcome, RecoveryOutcome::clean);
@@ -267,6 +268,8 @@ TEST(Supervisor, DivergentRollbackTargetRestartsFresh)
     EXPECT_EQ(r.report.events[0].trigger,
               RecoveryTrigger::resumeDivergence);
     EXPECT_EQ(r.report.events[0].rollbackTo, 0u);
+    EXPECT_TRUE(r.report.events[0].actions.empty());
+    EXPECT_EQ(r.run.scriptApplied, 0u);
     EXPECT_EQ(r.report.finalStateDigest, clean.report.finalStateDigest);
 }
 
