@@ -229,8 +229,24 @@ HmpScheduler::tick(Tick now)
     for (const auto &runner_ptr : runners)
         sim.noteWrite(runner_ptr->core().name(), "rq");
     ++schedStats.ticks;
+    // An idle tick still counts itself and declares its accesses, so
+    // SchedStats::ticks and abrace's tracked events do not depend on
+    // load.  With every run queue empty there is no load to update,
+    // no task to migrate and nothing to balance.
+    const auto deepest = [this] {
+        std::size_t depth = 0;
+        for (const auto &runner_ptr : runners)
+            depth = std::max(depth, runner_ptr->depth());
+        return depth;
+    };
+    if (deepest() == 0)
+        return;
     updateLoads(now);
     migrationPass();
+    // balanceCluster moves a task only off a run queue two deeper
+    // than its cluster's idlest, so below depth 2 it cannot act.
+    if (deepest() < 2)
+        return;
     for (std::size_t i = 0; i < plat.clusterCount(); ++i)
         balanceCluster(plat.cluster(i));
 }
@@ -255,14 +271,14 @@ void
 HmpScheduler::migrationPass()
 {
     // Snapshot the task/core pairs first: migrating mutates queues.
-    std::vector<Task *> candidates;
+    migrationCandidates.clear();
     for (auto &runner_ptr : runners) {
         if (runner_ptr->running() != nullptr)
-            candidates.push_back(runner_ptr->running());
+            migrationCandidates.push_back(runner_ptr->running());
         for (Task *t : runner_ptr->waiting())
-            candidates.push_back(t);
+            migrationCandidates.push_back(t);
     }
-    for (Task *task : candidates) {
+    for (Task *task : migrationCandidates) {
         if (task->pinnedCore())
             continue;
         Core *core = task->core();

@@ -147,6 +147,8 @@ class HmpScheduler
     std::size_t rrCursor = 0;
     SchedStats schedStats;
     SchedObserver *schedObserver = nullptr;
+    /** migrationPass()'s snapshot, kept so a tick reuses its buffer. */
+    std::vector<Task *> migrationCandidates;
 
     void tick(Tick now);
     void updateLoads(Tick now);

@@ -24,12 +24,6 @@ CoreRunner::CoreRunner(Simulation &sim_in, Core &core_in,
         });
 }
 
-std::size_t
-CoreRunner::depth() const
-{
-    return waitQ.size() + (cur != nullptr ? 1 : 0);
-}
-
 double
 CoreRunner::loadSum() const
 {

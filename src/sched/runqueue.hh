@@ -49,7 +49,10 @@ class CoreRunner
     const std::deque<Task *> &waiting() const { return waitQ; }
 
     /** Queued tasks including the running one. */
-    std::size_t depth() const;
+    std::size_t depth() const
+    {
+        return waitQ.size() + (cur != nullptr ? 1 : 0);
+    }
 
     /** Make @p task runnable on this core. */
     void enqueue(Task &task);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "sim/abrace.hh"
 
 namespace biglittle
 {
@@ -105,20 +104,6 @@ void
 Simulation::runFor(Tick delta)
 {
     queue.runUntil(queue.now() + delta);
-}
-
-void
-Simulation::noteRead(std::string_view component, std::string_view field)
-{
-    if (RaceDetector *detector = queue.raceDetector())
-        detector->noteRead(component, field);
-}
-
-void
-Simulation::noteWrite(std::string_view component, std::string_view field)
-{
-    if (RaceDetector *detector = queue.raceDetector())
-        detector->noteWrite(component, field);
 }
 
 } // namespace biglittle

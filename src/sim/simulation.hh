@@ -15,13 +15,12 @@
 #include <vector>
 
 #include "base/types.hh"
+#include "sim/abrace.hh"
 #include "sim/event.hh"
 #include "sim/eventq.hh"
 
 namespace biglittle
 {
-
-class RaceDetector;
 
 /**
  * A repeating event: fires every @p period ticks and invokes a
@@ -98,15 +97,25 @@ class Simulation
 
     /**
      * abrace access tracking (sim/abrace.hh).  Event handlers call
-     * these to declare which state cell they touch; the calls are
-     * near-free no-ops unless a RaceDetector is attached to the
-     * event queue.  @p component is a stable instance name ("cpu0",
-     * "big.domain"), @p field the logical member ("rq", "freq").
+     * these to declare which state cell they touch; without an
+     * attached RaceDetector a call is one inline null check.
+     * @p component is a stable instance name ("cpu0", "big.domain"),
+     * @p field the logical member ("rq", "freq").
      */
-    void noteRead(std::string_view component, std::string_view field);
+    void
+    noteRead(std::string_view component, std::string_view field)
+    {
+        if (RaceDetector *detector = queue.raceDetector())
+            detector->noteRead(component, field);
+    }
 
     /** Declare a write of @p component's @p field.  @see noteRead */
-    void noteWrite(std::string_view component, std::string_view field);
+    void
+    noteWrite(std::string_view component, std::string_view field)
+    {
+        if (RaceDetector *detector = queue.raceDetector())
+            detector->noteWrite(component, field);
+    }
 
     /** The attached race detector, nullptr when detection is off. */
     RaceDetector *race() const { return queue.raceDetector(); }

@@ -54,7 +54,11 @@ Watchdog::stop()
 {
     // A non-exiting trip already cleared `running`; the thread still
     // needs joining, so key idempotence off joinable(), not the flag.
-    running.store(false);
+    {
+        std::lock_guard<std::mutex> lock(wakeMutex);
+        running.store(false);
+    }
+    wake.notify_all();
     if (monitor.joinable())
         monitor.join();
     queuePtr = nullptr;
@@ -98,10 +102,13 @@ Watchdog::run()
     double lastProgressAt = started;
     std::uint64_t lastServiced = servicedSeen.load();
 
-    while (running.load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        if (!running.load())
-            return;
+    while (true) {
+        {
+            std::unique_lock<std::mutex> lock(wakeMutex);
+            if (wake.wait_for(lock, std::chrono::milliseconds(50),
+                              [this] { return !running.load(); }))
+                return;
+        }
         const double now = nowSec();
         const std::uint64_t serviced = servicedSeen.load();
         if (serviced != lastServiced) {
@@ -173,6 +180,7 @@ Watchdog::trip(const std::string &reason)
         std::fflush(nullptr);
         std::_Exit(watchdogExitCode);
     }
+    std::lock_guard<std::mutex> lock(wakeMutex);
     running.store(false);
 }
 

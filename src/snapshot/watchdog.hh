@@ -15,10 +15,13 @@
  * pending events (and, optionally, freshly encoded checkpoint bytes)
  * under a mutex.  Heartbeats run at chunk boundaries, so the pending
  * head begins with exactly the events a stalled chunk was running.
- * A background thread wakes a few times a second and trips when
+ * A helper thread checks every 50 ms and trips when
  *
  *  - no serviced-event progress for stallLimit wall seconds, or
  *  - total wall time exceeds runawayLimit seconds.
+ *
+ * stop() wakes the helper at once instead of letting it finish its
+ * 50 ms wait, so a short run is not held back to the next check.
  *
  * On trip it writes a report file (reason, last tick, serviced
  * count, the pending events in firing order, formatted only now),
@@ -31,6 +34,7 @@
 #define BIGLITTLE_SNAPSHOT_WATCHDOG_HH
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -115,8 +119,11 @@ class Watchdog
     WatchdogParams wp;
     EventQueue *queuePtr = nullptr;
 
-    std::thread monitor;
     std::atomic<bool> running{false};
+    /** `running` is cleared only under wakeMutex, and stop() then
+     *  notifies wake, so run()'s timed wait cannot miss the stop. */
+    std::mutex wakeMutex;
+    std::condition_variable wake;
     std::atomic<std::uint64_t> servicedSeen{0};
     std::atomic<std::uint64_t> lastTick{0};
     std::atomic<std::uint64_t> tripCount{0};
@@ -129,6 +136,9 @@ class Watchdog
     std::vector<TraceRecord> head;
     std::size_t headCount = 0;
     std::vector<std::uint8_t> checkpointBytes;
+
+    /** Declared last: the helper thread uses every member above. */
+    std::thread monitor;
 
     void run();
     void trip(const std::string &reason);

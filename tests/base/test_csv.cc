@@ -34,7 +34,14 @@ class CsvTest : public ::testing::Test
     void
     SetUp() override
     {
-        path = ::testing::TempDir() + "biglittle_csv_test.csv";
+        // One file per test case: ctest runs the cases of this
+        // fixture concurrently, and a shared name would let one
+        // case's TearDown remove the file another is reading.
+        path = ::testing::TempDir() + "biglittle_csv_" +
+               ::testing::UnitTest::GetInstance()
+                   ->current_test_info()
+                   ->name() +
+               ".csv";
     }
 
     void

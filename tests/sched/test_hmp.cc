@@ -9,6 +9,7 @@
 
 #include "base/strutil.hh"
 #include "sched_fixture.hh"
+#include "sim/abrace.hh"
 
 using namespace biglittle;
 using namespace biglittle::test;
@@ -263,6 +264,21 @@ TEST_F(HmpTest, StatsTickCountAdvances)
 {
     sim.runFor(msToTicks(25));
     EXPECT_GE(sched.stats().ticks, 24u);
+}
+
+TEST_F(HmpTest, IdleTickStillCountsAndDeclaresItsAccesses)
+{
+    // With every run queue empty the tick skips its load, migration
+    // and balance passes, but it still fires, counts itself and
+    // declares its run-queue writes to an attached detector.
+    RaceDetector race;
+    sim.eventQueue().setRaceDetector(&race);
+    const auto ticks = sched.stats().ticks;
+    const auto tracked = race.eventsTracked();
+    sim.runFor(msToTicks(20));
+    EXPECT_EQ(sched.stats().ticks - ticks, 20u);
+    EXPECT_EQ(race.eventsTracked() - tracked, 20u);
+    sim.eventQueue().setRaceDetector(nullptr);
 }
 
 TEST_F(HmpTest, StopHaltsTicking)

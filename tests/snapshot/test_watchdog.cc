@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the wall-clock watchdog: stall and runaway trips, the
- * report + checkpoint-dump contents, the non-zero exit code, and the
+ * report + checkpoint-dump contents, the non-zero exit code, a
+ * stop() that does not wait for the next check, and the
  * disabled/healthy paths.  Trip paths use short limits so the whole
  * file runs in well under a second per test.
  */
@@ -11,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <thread>
 
@@ -178,6 +180,30 @@ TEST(Watchdog, StopBeforeTripIsClean)
     dog.start(sim.eventQueue());
     dog.heartbeat();
     dog.stop();
+    EXPECT_EQ(dog.trips(), 0u);
+}
+
+TEST(Watchdog, StopDoesNotWaitOutThePoll)
+{
+    // stop() must wake the monitor rather than let it finish its
+    // 50 ms wait.  Three cycles that each stop 5 ms into the wait
+    // take about 150 ms if every stop waits the wait out, and about
+    // 15 ms if none does; the three stops get 75 ms between them.
+    Simulation sim;
+    WatchdogParams params;
+    params.enabled = true;
+    Watchdog dog(params);
+    auto cycles = std::async(std::launch::async, [&] {
+        for (int i = 0; i < 3; ++i) {
+            dog.start(sim.eventQueue());
+            dog.heartbeat();
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            dog.stop();
+        }
+    });
+    EXPECT_EQ(cycles.wait_for(std::chrono::milliseconds(3 * 5 + 75)),
+              std::future_status::ready);
+    cycles.wait();
     EXPECT_EQ(dog.trips(), 0u);
 }
 
