@@ -9,10 +9,12 @@
  *   bench_paper <id> [--csv F]         print one artifact to stdout
  *   bench_paper --out-dir DIR [id...]  write DIR/<id>.txt (stdout)
  *                                      and DIR/<id>.csv for the named
- *                                      artifacts, or for all of them
+ *                                      artifacts, or for all of them,
+ *                                      and DIR/run_table.txt: one
+ *                                      line per run table cell
  *
- * bench/golden/ holds every artifact's output; regenerate it with
- * `bench_paper --out-dir bench/golden`.
+ * bench/golden/ holds every artifact's output and the run table of
+ * all 24; regenerate it with `bench_paper --out-dir bench/golden`.
  */
 
 #include <cstdio>
@@ -74,11 +76,29 @@ description()
         "  bench_paper --out-dir DIR [id...]  write DIR/<id>.txt and "
         "DIR/<id>.csv\n"
         "                                     (all artifacts when none "
-        "is named)\n\n"
+        "is named)\n"
+        "                                     and DIR/run_table.txt, "
+        "the metrics and\n"
+        "                                     section digests of every "
+        "run table cell\n\n"
         "artifact ids:";
     for (const Artifact &a : artifacts)
         text += std::string("\n  ") + a.id;
     return text;
+}
+
+/**
+ * Point stdout at @p path, or print why not and exit with exitBadFile
+ * (3), as openCsvOrExit() does.
+ */
+void
+redirectStdoutOrExit(const std::string &path)
+{
+    if (std::freopen(path.c_str(), "w", stdout) == nullptr) {
+        std::fprintf(stderr, "bench_paper: cannot write %s\n",
+                     path.c_str());
+        std::exit(exitBadFile);
+    }
 }
 
 /**
@@ -118,8 +138,8 @@ main(int argc, char **argv)
                               "CSV file");
     args.addString("out-dir", "",
                    "write <id>.txt and <id>.csv of each named "
-                   "artifact (all when none is named) into this "
-                   "directory");
+                   "artifact (all when none is named) and "
+                   "run_table.txt into this directory");
     RunTable::addOptions(args);
     const std::vector<std::string> ids = args.parse(argc, argv);
 
@@ -164,14 +184,11 @@ main(int argc, char **argv)
             const std::string base = out_dir + "/" + a->id;
             std::unique_ptr<CsvWriter> csv = openCsvOrExit(base + ".csv");
             // Artifacts print to stdout: point it at <id>.txt.
-            if (std::freopen((base + ".txt").c_str(), "w", stdout) ==
-                nullptr) {
-                std::fprintf(stderr, "bench_paper: cannot write %s.txt\n",
-                             base.c_str());
-                return exitBadFile;
-            }
+            redirectStdoutOrExit(base + ".txt");
             a->print(runs, csv.get());
         }
+        redirectStdoutOrExit(out_dir + "/run_table.txt");
+        runs.printCells();
     }
     return runs.failures() == 0 ? exitOk : exitFatal;
 }

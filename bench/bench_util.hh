@@ -2,7 +2,7 @@
  * @file
  * The standard experimental conditions of the paper (the default
  * system, 4-big vs 4-little, the Section VI-C parameter sweep), shared
- * by bench_paper's run table, perfbench and the paper-suite golden.
+ * by bench_paper's run table and perfbench.
  */
 
 #ifndef BIGLITTLE_BENCH_BENCH_UTIL_HH

@@ -40,6 +40,13 @@ namespace biglittle
  * run flags and gates the run once: an abrace conflict
  * (--race-detect) or a tie-break divergence (--permute-ties) counts
  * as a failure.
+ *
+ * printCells() records every cell: `bench_paper --out-dir` writes it
+ * to run_table.txt, and bench/golden/run_table.txt pins the section
+ * digests of all 216 cells at seed 0.  The paper-suite golden test
+ * checks that each `run ` line of perfbench/reference/paper_suite.txt
+ * is one of those lines, so that reference is never simulated in
+ * tier-1.
  */
 class RunTable
 {
@@ -61,6 +68,13 @@ class RunTable
      */
     std::vector<AppRunResult> runApps(const ExperimentConfig &cfg,
                                       const std::vector<AppSpec> &apps);
+
+    /**
+     * Print one line per cell simulated so far, in (condition, app)
+     * order: the config label, app, headline metrics and section
+     * digests, as perfbench/reference/paper_suite.txt writes a run.
+     */
+    void printCells() const;
 
     /** Runs that failed their gate so far. */
     std::size_t failures() const { return failed; }

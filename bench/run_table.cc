@@ -1,7 +1,8 @@
 /**
  * @file
  * RunTable: the run flags, the one runApps() that every bench_paper
- * run goes through, and the per-run race gate.
+ * run goes through, the per-run race gate, and the record of every
+ * cell that bench/golden/run_table.txt pins.
  */
 
 #include <cstdio>
@@ -41,6 +42,25 @@ paperCondition(const std::string &name)
             return point.config;
     }
     panic("run table: '%s' is not a paper condition", name.c_str());
+}
+
+/**
+ * One run's headline metrics (%.17g) and per-section state digests,
+ * in the format of perfbench/reference/paper_suite.txt's `run ` lines.
+ */
+std::string
+recordLine(const AppRunResult &r)
+{
+    std::string line = format(
+        "%s|%s|perf=%.17g|min_fps=%.17g|power_mw=%.17g|sim_ticks=%llu",
+        r.configLabel.c_str(), r.app.c_str(), r.performanceValue(),
+        r.minFps, r.avgPowerMw,
+        static_cast<unsigned long long>(r.simulatedTime));
+    for (const auto &[name, digest] : r.stateDigests) {
+        line += format("|%s=%016llx", name.c_str(),
+                       static_cast<unsigned long long>(digest));
+    }
+    return line;
 }
 
 /** Integer option @p name, or exit 2 unless it is in [0, @p max]. */
@@ -158,6 +178,13 @@ RunTable::get(const std::string &condition,
     for (const AppSpec &app : apps)
         results.push_back(cells.at({condition, app.name}));
     return results;
+}
+
+void
+RunTable::printCells() const
+{
+    for (const auto &cell : cells)
+        std::printf("%s\n", recordLine(cell.second).c_str());
 }
 
 std::vector<AppRunResult>
