@@ -89,7 +89,7 @@ ablClusterMigration(RunTable &runs, CsvWriter *csv)
                      "power_migration_mw", "switches"});
     }
 
-    const auto apps = allApps();
+    const auto &apps = allApps();
     const auto hmp = runs.get("baseline", apps);
 
     std::printf("%s\n",

@@ -29,7 +29,7 @@ ablCpuidle(RunTable &runs, CsvWriter *csv)
     flat_cfg.platform.cpuidleEnabled = false;
     flat_cfg.label = "flat";
 
-    const auto apps = allApps();
+    const auto &apps = allApps();
     const auto with_idle = runs.runApps(idle_cfg, apps);
     const auto flat = runs.runApps(flat_cfg, apps);
 

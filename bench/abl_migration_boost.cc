@@ -28,7 +28,7 @@ ablMigrationBoost(RunTable &runs, CsvWriter *csv)
     plain_cfg.sched.upMigrationBoostFreq = 0;
     plain_cfg.label = "no-boost";
 
-    const auto apps = latencyApps();
+    const auto &apps = latencyApps();
     const auto with_boost = runs.runApps(boost_cfg, apps);
     const auto without = runs.runApps(plain_cfg, apps);
 

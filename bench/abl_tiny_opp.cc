@@ -49,7 +49,7 @@ ablTinyOpp(RunTable &runs, CsvWriter *csv)
     tiny_cfg.platform = tinyAugmentedParams();
     tiny_cfg.label = "tiny-opp";
 
-    const auto apps = allApps();
+    const auto &apps = allApps();
     const auto base = runs.get("baseline", apps);
     const auto tiny = runs.runApps(tiny_cfg, apps);
 

@@ -63,50 +63,54 @@ struct SweepPoint
     ExperimentConfig config;
 };
 
-/** The 8 governor/HMP configurations of Figs. 11-13 (no baseline). */
-inline std::vector<SweepPoint>
+/** The 8 governor/HMP configurations of Figs. 11-13 (no baseline),
+ *  built once. */
+inline const std::vector<SweepPoint> &
 parameterSweep()
 {
-    std::vector<SweepPoint> sweep;
-    auto add = [&sweep](const std::string &label,
-                        const ExperimentConfig &cfg) {
-        sweep.push_back({label, cfg});
-        sweep.back().config.label = label;
-    };
+    static const std::vector<SweepPoint> points = [] {
+        std::vector<SweepPoint> sweep;
+        auto add = [&sweep](const std::string &label,
+                            const ExperimentConfig &cfg) {
+            sweep.push_back({label, cfg});
+            sweep.back().config.label = label;
+        };
 
-    ExperimentConfig cfg;
-    cfg.interactive = interval60Params();
-    add("interval-60ms", cfg);
+        ExperimentConfig cfg;
+        cfg.interactive = interval60Params();
+        add("interval-60ms", cfg);
 
-    cfg = ExperimentConfig{};
-    cfg.interactive = interval100Params();
-    add("interval-100ms", cfg);
+        cfg = ExperimentConfig{};
+        cfg.interactive = interval100Params();
+        add("interval-100ms", cfg);
 
-    cfg = ExperimentConfig{};
-    cfg.interactive = highTargetLoadParams();
-    add("target-load-80", cfg);
+        cfg = ExperimentConfig{};
+        cfg.interactive = highTargetLoadParams();
+        add("target-load-80", cfg);
 
-    cfg = ExperimentConfig{};
-    cfg.interactive = lowTargetLoadParams();
-    add("target-load-60", cfg);
+        cfg = ExperimentConfig{};
+        cfg.interactive = lowTargetLoadParams();
+        add("target-load-60", cfg);
 
-    cfg = ExperimentConfig{};
-    cfg.sched = conservativeSchedParams();
-    add("hmp-conservative", cfg);
+        cfg = ExperimentConfig{};
+        cfg.sched = conservativeSchedParams();
+        add("hmp-conservative", cfg);
 
-    cfg = ExperimentConfig{};
-    cfg.sched = aggressiveSchedParams();
-    add("hmp-aggressive", cfg);
+        cfg = ExperimentConfig{};
+        cfg.sched = aggressiveSchedParams();
+        add("hmp-aggressive", cfg);
 
-    cfg = ExperimentConfig{};
-    cfg.sched = doubleHistorySchedParams();
-    add("hmp-2x-history", cfg);
+        cfg = ExperimentConfig{};
+        cfg.sched = doubleHistorySchedParams();
+        add("hmp-2x-history", cfg);
 
-    cfg = ExperimentConfig{};
-    cfg.sched = halfHistorySchedParams();
-    add("hmp-half-history", cfg);
+        cfg = ExperimentConfig{};
+        cfg.sched = halfHistorySchedParams();
+        add("hmp-half-history", cfg);
 
-    return sweep;
+        return sweep;
+    }();
+    return points;
 }
 
 } // namespace biglittle

@@ -21,7 +21,7 @@ fig04LatencyApps(RunTable &runs, CsvWriter *csv)
                      "power_big_mw", "power_increase_pct"});
     }
 
-    const auto apps = latencyApps();
+    const auto &apps = latencyApps();
     const auto little = runs.get("4-little", apps);
     const auto big = runs.get("4-big", apps);
 

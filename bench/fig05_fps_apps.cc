@@ -23,7 +23,7 @@ fig05FpsApps(RunTable &runs, CsvWriter *csv)
                      "power_increase_pct"});
     }
 
-    const auto apps = fpsApps();
+    const auto &apps = fpsApps();
     const auto little = runs.get("4-little", apps);
     const auto big = runs.get("4-big", apps);
 

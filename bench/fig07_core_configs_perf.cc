@@ -21,7 +21,7 @@ fig07CoreConfigsPerf(RunTable &runs, CsvWriter *csv)
     }
 
     const auto configs = standardCoreConfigs();
-    const auto apps = allApps();
+    const auto &apps = allApps();
 
     // Baseline first (last entry of standardCoreConfigs is L4+B4).
     std::vector<std::vector<AppRunResult>> by_config;

@@ -22,7 +22,7 @@ fig08CoreConfigsPower(RunTable &runs, CsvWriter *csv)
     }
 
     const auto configs = standardCoreConfigs();
-    const auto apps = allApps();
+    const auto &apps = allApps();
 
     std::vector<std::vector<AppRunResult>> by_config;
     for (const CoreConfig &cc : configs)

@@ -22,7 +22,7 @@ fig11ParamPower(RunTable &runs, CsvWriter *csv)
                      "power_saving_pct"});
     }
 
-    const auto apps = allApps();
+    const auto &apps = allApps();
     const auto baseline = runs.get("baseline", apps);
 
     std::printf("%s\n",

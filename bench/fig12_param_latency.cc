@@ -21,7 +21,7 @@ fig12ParamLatency(RunTable &runs, CsvWriter *csv)
                      "latency_increase_pct"});
     }
 
-    const auto apps = latencyApps();
+    const auto &apps = latencyApps();
     const auto baseline = runs.get("baseline", apps);
 
     std::printf("%s\n",

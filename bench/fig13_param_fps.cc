@@ -21,7 +21,7 @@ fig13ParamFps(RunTable &runs, CsvWriter *csv)
                      "fps_change_pct"});
     }
 
-    const auto apps = fpsApps();
+    const auto &apps = fpsApps();
     const auto baseline = runs.get("baseline", apps);
 
     std::printf("%s\n",

@@ -28,7 +28,7 @@ governorComparison(RunTable &runs, CsvWriter *csv)
         GovernorKind::ondemand, GovernorKind::conservative,
         GovernorKind::schedutil, GovernorKind::powersave,
     };
-    const auto apps = allApps();
+    const auto &apps = allApps();
 
     std::printf("%s\n",
                 (padRight("governor", 14) +

@@ -108,7 +108,7 @@ main(int argc, char **argv)
     if (cfg.label == "default")
         cfg.label = governorKindName(cfg.governor);
 
-    const AppSpec app = appByName(args.getString("app"));
+    const AppSpec &app = appByName(args.getString("app"));
     std::printf("running %s (%s-oriented) on %s, %s governor...\n\n",
                 app.name.c_str(), appMetricName(app.metric),
                 cfg.coreConfig.label.c_str(),

@@ -28,7 +28,7 @@ main(int argc, char **argv)
                  "configurations");
     args.parse(argc, argv);
 
-    const AppSpec app = appByName(args.getString("app"));
+    const AppSpec &app = appByName(args.getString("app"));
 
     std::vector<CoreConfig> configs;
     if (args.getFlag("full-grid")) {

@@ -53,7 +53,7 @@ main(int argc, char **argv)
                    "sampling | target-load | up-threshold | history");
     args.parse(argc, argv);
 
-    const AppSpec app = appByName(args.getString("app"));
+    const AppSpec &app = appByName(args.getString("app"));
     const std::string knob = toLower(args.getString("knob"));
 
     std::vector<SweepResult> results;

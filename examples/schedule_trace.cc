@@ -35,7 +35,7 @@ main(int argc, char **argv)
     args.addString("csv", "", "write the full trace to this file");
     args.parse(argc, argv);
 
-    const AppSpec spec = appByName(args.getString("app"));
+    const AppSpec &spec = appByName(args.getString("app"));
 
     Simulation sim;
     AsymmetricPlatform platform(sim, exynos5422Params());

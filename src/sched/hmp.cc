@@ -256,6 +256,10 @@ HmpScheduler::updateLoads(Tick now)
 {
     for (auto &runner_ptr : runners) {
         CoreRunner &rq = *runner_ptr;
+        // An empty runner has no progress to charge and no load to
+        // accrue.
+        if (rq.depth() == 0)
+            continue;
         // Charge partial progress so pending-work observers and the
         // load update see a consistent picture.
         rq.chargeRunning();

@@ -36,7 +36,9 @@ LoadTracker::accrue(double periods, double contribution,
     BL_ASSERT(contribution >= 0.0 && contribution <= 1.0);
     BL_ASSERT(freq_scale > 0.0 && freq_scale <= 1.0);
     const double target = fullScale * contribution * freq_scale;
-    const double keep = std::pow(decayFactor, periods);
+    // Most accruals cover exactly one tick; pow(y, 1) is y exactly.
+    const double keep =
+        periods == 1.0 ? decayFactor : std::pow(decayFactor, periods);
     load = load * keep + target * (1.0 - keep);
 }
 

@@ -9,6 +9,8 @@ namespace biglittle
 Event::Event(EventPriority prio_in, std::string name_in)
     : prio(prio_in), eventName(std::move(name_in))
 {
+    BL_ASSERT(static_cast<std::int32_t>(prio) >= 0 &&
+              static_cast<std::int32_t>(prio) < 256);
 }
 
 Event::~Event()

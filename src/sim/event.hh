@@ -3,9 +3,11 @@
  * Discrete-event primitives.
  *
  * Events are intrusive: an Event object knows whether it is currently
- * scheduled and at what tick, so it can be rescheduled or descheduled
- * in O(log n).  Ordering is (when, priority, sequence) which makes
- * simulations fully deterministic even when many events share a tick.
+ * scheduled, at what tick, and which slot of the queue's heap holds
+ * it, so it can be rescheduled or descheduled in O(log n) without a
+ * search or an allocation.  Ordering is (when, priority, sequence)
+ * which makes simulations fully deterministic even when many events
+ * share a tick.
  */
 
 #ifndef BIGLITTLE_SIM_EVENT_HH
@@ -98,7 +100,9 @@ class Event
 {
   public:
     /**
-     * @param prio same-tick ordering class for this event.
+     * @param prio same-tick ordering class for this event, in
+     *        [0, 255]: the queue packs it into the top byte of the
+     *        firing key.
      * @param name diagnostic name, as traces, the checkpoint digest
      *        of pending events and abrace reports show it.
      */
@@ -149,6 +153,7 @@ class Event
     Tick whenTick = 0;
     std::uint64_t sequence = 0;
     EventQueue *queue = nullptr;
+    std::size_t heapSlot = 0; ///< index in queue's heap while scheduled
     std::string eventName;
 };
 

@@ -1,6 +1,5 @@
 #include "sim/eventq.hh"
 
-#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -11,17 +10,114 @@
 namespace biglittle
 {
 
+namespace
+{
+
+/** Sequence numbers share the key with an 8-bit priority. */
+constexpr std::uint64_t sequenceLimit = std::uint64_t{1} << 56;
+
+std::uint64_t
+keyOf(const Event &event)
+{
+    return static_cast<std::uint64_t>(event.priority()) << 56 |
+           event.sequenceNumber();
+}
+
+[[noreturn]] void
+pastPanic(const Event &event, Tick when, Tick now)
+{
+    panic("scheduling event '%s' at %llu, before current tick %llu",
+          event.name().c_str(), static_cast<unsigned long long>(when),
+          static_cast<unsigned long long>(now));
+}
+
+} // namespace
+
 EventQueue::~EventQueue()
 {
     // Detach any events still pending so their destructors do not
     // dereference a dead queue, then let self-owning events free
     // themselves (orphaned() may `delete this`, so iterate a copy).
-    std::vector<Event *> pending(queue.begin(), queue.end());
-    queue.clear();
-    for (Event *e : pending)
-        e->queue = nullptr;
-    for (Event *e : pending)
-        e->orphaned();
+    // Storage order is fine here: orphaned() only frees.
+    std::vector<Slot> pending;
+    pending.swap(heap);
+    for (const Slot &s : pending)
+        s.event->queue = nullptr;
+    for (const Slot &s : pending)
+        s.event->orphaned();
+}
+
+void
+EventQueue::place(std::size_t i, const Slot &slot)
+{
+    heap[i] = slot;
+    slot.event->heapSlot = i;
+}
+
+void
+EventQueue::siftUp(std::size_t i)
+{
+    const Slot moving = heap[i];
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / arity;
+        if (!before(moving, heap[parent]))
+            break;
+        place(i, heap[parent]);
+        i = parent;
+    }
+    place(i, moving);
+}
+
+void
+EventQueue::siftDown(std::size_t i)
+{
+    const Slot moving = heap[i];
+    const std::size_t n = heap.size();
+    while (true) {
+        const std::size_t first = firstChild(i);
+        if (first >= n)
+            break;
+        const std::size_t end = std::min(first + arity, n);
+        std::size_t best = first;
+        for (std::size_t c = first + 1; c < end; ++c) {
+            if (before(heap[c], heap[best]))
+                best = c;
+        }
+        if (!before(heap[best], moving))
+            break;
+        place(i, heap[best]);
+        i = best;
+    }
+    place(i, moving);
+}
+
+void
+EventQueue::resift(std::size_t i)
+{
+    if (i > 0 && before(heap[i], heap[(i - 1) / arity]))
+        siftUp(i);
+    else
+        siftDown(i);
+}
+
+void
+EventQueue::push(const Slot &slot)
+{
+    heap.push_back(slot);
+    siftUp(heap.size() - 1);
+}
+
+EventQueue::Slot
+EventQueue::removeAt(std::size_t i)
+{
+    const Slot removed = heap[i];
+    const Slot last = heap.back();
+    heap.pop_back();
+    if (i < heap.size()) {
+        place(i, last);
+        resift(i);
+    }
+    return removed;
 }
 
 void
@@ -29,15 +125,12 @@ EventQueue::schedule(Event &event, Tick when)
 {
     BL_ASSERT(event.queue == nullptr);
     if (when < curTick)
-        panic("scheduling event '%s' at %llu, before current tick %llu",
-              event.name().c_str(),
-              static_cast<unsigned long long>(when),
-              static_cast<unsigned long long>(curTick));
+        pastPanic(event, when, curTick);
+    BL_ASSERT(nextSequence < sequenceLimit);
     event.whenTick = when;
     event.sequence = nextSequence++;
     event.queue = this;
-    const bool inserted = queue.insert(&event).second;
-    BL_ASSERT(inserted);
+    push({when, keyOf(event), &event});
     if (race)
         race->onScheduled(event, curTick);
 }
@@ -46,8 +139,8 @@ void
 EventQueue::deschedule(Event &event)
 {
     BL_ASSERT(event.queue == this);
-    const std::size_t erased = queue.erase(&event);
-    BL_ASSERT(erased == 1);
+    BL_ASSERT(heap[event.heapSlot].event == &event);
+    removeAt(event.heapSlot);
     event.queue = nullptr;
     if (race)
         race->onDescheduled(event);
@@ -56,49 +149,62 @@ EventQueue::deschedule(Event &event)
 void
 EventQueue::reschedule(Event &event, Tick when)
 {
-    if (event.queue != nullptr)
-        deschedule(event);
-    schedule(event, when);
+    if (event.queue == nullptr) {
+        schedule(event, when);
+        return;
+    }
+    // Deschedule + schedule, done in place: the slot takes the new
+    // key and sifts whichever way it now belongs.
+    BL_ASSERT(event.queue == this);
+    if (when < curTick)
+        pastPanic(event, when, curTick);
+    BL_ASSERT(nextSequence < sequenceLimit);
+    if (race)
+        race->onDescheduled(event);
+    event.whenTick = when;
+    event.sequence = nextSequence++;
+    heap[event.heapSlot].when = when;
+    heap[event.heapSlot].key = keyOf(event);
+    resift(event.heapSlot);
+    if (race)
+        race->onScheduled(event, curTick);
 }
 
 Tick
 EventQueue::nextTick() const
 {
-    return queue.empty() ? maxTick : (*queue.begin())->when();
+    return heap.empty() ? maxTick : heap.front().when;
 }
 
 bool
 EventQueue::serviceOne()
 {
-    if (queue.empty())
+    if (heap.empty())
         return false;
-    auto head = queue.begin();
-    Event *event = *head;
-    if (tieMode != TieBreak::fifo) {
+    Slot picked = removeAt(0);
+    if (tieMode != TieBreak::fifo && !heap.empty() &&
+        sameBatch(heap.front(), picked)) {
         // Permuted tie-break: pick a different member of the head's
         // same-(when, priority) batch.  Any pick is causally valid -
         // an event scheduled during this batch still fires after its
         // parent because it can only be picked on a later service.
-        auto it = head;
-        auto last = head;
-        std::size_t n = 0;
-        while (it != queue.end() && (*it)->whenTick == event->whenTick
-               && (*it)->prio == event->prio) {
-            last = it;
-            ++it;
-            ++n;
+        // The batch pops in sequence order; the rest go back with
+        // their keys unchanged.
+        batch.push_back(picked);
+        while (!heap.empty() && sameBatch(heap.front(), picked))
+            batch.push_back(removeAt(0));
+        const std::size_t n = batch.size();
+        const std::size_t pick = tieMode == TieBreak::lifo
+            ? n - 1
+            : static_cast<std::size_t>(tieRng.uniformInt(0, n - 1));
+        picked = batch[pick];
+        for (std::size_t i = 0; i < n; ++i) {
+            if (i != pick)
+                push(batch[i]);
         }
-        if (n > 1) {
-            if (tieMode == TieBreak::lifo) {
-                head = last;
-            } else {
-                head = queue.begin();
-                std::advance(head, tieRng.uniformInt(0, n - 1));
-            }
-            event = *head;
-        }
+        batch.clear();
     }
-    queue.erase(head);
+    Event *event = picked.event;
     event->queue = nullptr;
     BL_ASSERT(event->whenTick >= curTick);
     curTick = event->whenTick;
@@ -113,9 +219,7 @@ EventQueue::serviceOne()
             // The picked event was the only one with its key unless
             // the new head shares it (under any tie-break mode).
             const bool peerPending =
-                !queue.empty() &&
-                (*queue.begin())->whenTick == event->whenTick &&
-                (*queue.begin())->prio == event->prio;
+                !heap.empty() && sameBatch(heap.front(), picked);
             race->beginEvent(info, peerPending);
             event->process();
             race->endEvent();
@@ -145,12 +249,15 @@ EventQueue::serialize(Serializer &s) const
     s.putU64(curTick);
     s.putU64(nextSequence);
     s.putU64(serviced);
-    s.putU64(queue.size());
+    s.putU64(heap.size());
     // Pending events in firing order, folded into one digest: the
     // identity of what remains to run is part of the state contract
     // even though the closures behind it cannot be serialized.
+    std::vector<Slot> ordered(heap);
+    std::sort(ordered.begin(), ordered.end(), before);
     Serializer pending;
-    for (const Event *e : queue) {
+    for (const Slot &slot : ordered) {
+        const Event *e = slot.event;
         pending.putU64(e->when());
         pending.putU64(static_cast<std::uint64_t>(
             static_cast<std::int32_t>(e->priority())));
@@ -163,7 +270,7 @@ EventQueue::serialize(Serializer &s) const
 void
 EventQueue::runUntil(Tick until)
 {
-    while (!queue.empty() && (*queue.begin())->when() <= until)
+    while (!heap.empty() && heap.front().when <= until)
         serviceOne();
     if (curTick < until)
         curTick = until;

@@ -4,15 +4,24 @@
  * (when, priority, sequence).  Supports schedule / reschedule /
  * deschedule, which the platform uses heavily (a task-completion
  * event moves whenever its core's frequency changes).
+ *
+ * Pending events live in a flat 4-ary min-heap of (when, priority <<
+ * 56 | sequence, event) slots, and each event remembers its slot, so
+ * every operation is O(log n) and none allocates once the heap's
+ * vector has grown.  Keys are unique (the sequence is), so the heap
+ * fires events in exactly the order a sorted set would.  Nothing
+ * observable walks the heap in storage order: pops, visitHead() and
+ * serialize() all follow the key.
  */
 
 #ifndef BIGLITTLE_SIM_EVENTQ_HH
 #define BIGLITTLE_SIM_EVENTQ_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <string_view>
+#include <vector>
 
 #include "base/random.hh"
 #include "base/types.hh"
@@ -80,8 +89,8 @@ class EventQueue
 
     /**
      * Move an event to a new tick (deschedule-if-scheduled +
-     * schedule).  Same-tick semantic: because the event is
-     * re-inserted through schedule(), it always receives a *fresh*
+     * schedule, done in place on the event's heap slot).  Same-tick
+     * semantic: like schedule(), it always gives the event a *fresh*
      * sequence number — rescheduling to the current tick (or back to
      * its own tick) re-enters the event at the BACK of its
      * (when, priority) batch, behind every already-pending peer.
@@ -92,10 +101,10 @@ class EventQueue
     void reschedule(Event &event, Tick when);
 
     /** True when no events are pending. */
-    bool empty() const { return queue.empty(); }
+    bool empty() const { return heap.empty(); }
 
     /** Number of pending events. */
-    std::size_t size() const { return queue.size(); }
+    std::size_t size() const { return heap.size(); }
 
     /** Tick of the next pending event (maxTick when empty). */
     Tick nextTick() const;
@@ -131,14 +140,33 @@ class EventQueue
      * `const Event &`, in (when, priority, sequence) order - the
      * order the fifo tie-break fires them in.  Changes nothing; the
      * watchdog uses it to show what a stalled run was about to do.
+     *
+     * A best-first walk of the heap's frontier: a slot's children
+     * become candidates once the slot is visited, so the walk costs
+     * O(n log n) and never sorts the whole queue.
      */
     template <typename Visit>
     void
     visitHead(std::size_t n, Visit &&visit) const
     {
-        for (auto it = queue.begin(); n > 0 && it != queue.end();
-             ++it, --n)
-            visit(static_cast<const Event &>(**it));
+        const auto later = [this](std::size_t a, std::size_t b) {
+            return before(heap[b], heap[a]);
+        };
+        std::vector<std::size_t> frontier;
+        if (!heap.empty())
+            frontier.push_back(0);
+        for (; n > 0 && !frontier.empty(); --n) {
+            std::pop_heap(frontier.begin(), frontier.end(), later);
+            const std::size_t i = frontier.back();
+            frontier.pop_back();
+            visit(static_cast<const Event &>(*heap[i].event));
+            const std::size_t end =
+                std::min(firstChild(i) + arity, heap.size());
+            for (std::size_t c = firstChild(i); c < end; ++c) {
+                frontier.push_back(c);
+                std::push_heap(frontier.begin(), frontier.end(), later);
+            }
+        }
     }
 
     /**
@@ -182,21 +210,52 @@ class EventQueue
     void serialize(Serializer &s) const;
 
   private:
-    struct Cmp
+    /** One pending event with its firing key copied in, so sifts
+     *  compare without touching the event. */
+    struct Slot
     {
-        bool
-        operator()(const Event *a, const Event *b) const
-        {
-            if (a->when() != b->when())
-                return a->when() < b->when();
-            if (a->priority() != b->priority())
-                return a->priority() < b->priority();
-            return a->sequence < b->sequence;
-        }
+        Tick when;
+        std::uint64_t key; ///< priority << 56 | sequence
+        Event *event;
     };
 
-    // ablint:allow(pointer-key): Cmp orders by stable fields
-    std::set<Event *, Cmp> queue;
+    /** Children per heap node.  Four measured a little faster than
+     *  two on paper_suite's ~25 pending events: a shallower heap
+     *  whose siblings sit side by side. */
+    static constexpr std::size_t arity = 4;
+
+    static std::size_t firstChild(std::size_t i) { return arity * i + 1; }
+
+    /** Strict firing order over (when, priority, sequence). */
+    static bool
+    before(const Slot &a, const Slot &b)
+    {
+        return a.when < b.when || (a.when == b.when && a.key < b.key);
+    }
+
+    /** True when @p a and @p b share a (when, priority) batch. */
+    static bool
+    sameBatch(const Slot &a, const Slot &b)
+    {
+        return a.when == b.when && (a.key >> 56) == (b.key >> 56);
+    }
+
+    /** Store @p slot at index @p i and tell its event. */
+    void place(std::size_t i, const Slot &slot);
+    void siftUp(std::size_t i);
+    void siftDown(std::size_t i);
+    /** Sift the slot at @p i whichever way its key now belongs. */
+    void resift(std::size_t i);
+    /** Append @p slot and restore the heap order. */
+    void push(const Slot &slot);
+    /** Remove and return the slot at index @p i. */
+    Slot removeAt(std::size_t i);
+
+    std::vector<Slot> heap;
+    /** A permuted pick's popped (when, priority) batch, in sequence
+     *  order; kept as a member so a pick does not allocate. */
+    // ablint:allow(serialize-coverage): scratch of one serviceOne() call, empty between services
+    std::vector<Slot> batch;
     Tick curTick = 0;
     std::uint64_t nextSequence = 0;
     std::uint64_t serviced = 0;

@@ -393,43 +393,54 @@ youtubeApp()
     return app;
 }
 
-std::vector<AppSpec>
+const std::vector<AppSpec> &
 allApps()
 {
-    return {
+    static const std::vector<AppSpec> apps = {
         pdfReaderApp(), videoEditorApp(), photoEditorApp(),
         bbenchApp(), virusScannerApp(), browserApp(), encoderApp(),
         angryBirdApp(), eternityWarrior2App(), fifa15App(),
         videoPlayerApp(), youtubeApp(),
     };
+    return apps;
 }
 
+namespace
+{
+
 std::vector<AppSpec>
+appsWithMetric(AppMetric metric)
+{
+    std::vector<AppSpec> apps;
+    for (const AppSpec &app : allApps()) {
+        if (app.metric == metric)
+            apps.push_back(app);
+    }
+    return apps;
+}
+
+} // namespace
+
+const std::vector<AppSpec> &
 latencyApps()
 {
-    std::vector<AppSpec> apps;
-    for (AppSpec &app : allApps()) {
-        if (app.metric == AppMetric::latency)
-            apps.push_back(std::move(app));
-    }
+    static const std::vector<AppSpec> apps =
+        appsWithMetric(AppMetric::latency);
     return apps;
 }
 
-std::vector<AppSpec>
+const std::vector<AppSpec> &
 fpsApps()
 {
-    std::vector<AppSpec> apps;
-    for (AppSpec &app : allApps()) {
-        if (app.metric == AppMetric::fps)
-            apps.push_back(std::move(app));
-    }
+    static const std::vector<AppSpec> apps =
+        appsWithMetric(AppMetric::fps);
     return apps;
 }
 
-AppSpec
+const AppSpec &
 appByName(const std::string &name)
 {
-    for (AppSpec &app : allApps()) {
+    for (const AppSpec &app : allApps()) {
         if (app.name == name)
             return app;
     }

@@ -35,17 +35,17 @@ AppSpec fifa15App();
 AppSpec videoPlayerApp();
 AppSpec youtubeApp();
 
-/** All twelve apps in Table II order. */
-std::vector<AppSpec> allApps();
+/** All twelve apps in Table II order (a table built once). */
+const std::vector<AppSpec> &allApps();
 
 /** The seven latency-oriented apps (Fig. 4 / Fig. 12). */
-std::vector<AppSpec> latencyApps();
+const std::vector<AppSpec> &latencyApps();
 
 /** The five FPS-oriented apps (Fig. 5 / Fig. 13). */
-std::vector<AppSpec> fpsApps();
+const std::vector<AppSpec> &fpsApps();
 
 /** Look an app up by its spec name; fatal() if unknown. */
-AppSpec appByName(const std::string &name);
+const AppSpec &appByName(const std::string &name);
 
 } // namespace biglittle
 

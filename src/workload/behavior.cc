@@ -74,13 +74,13 @@ PeriodicBehavior::PeriodicBehavior(Simulation &sim_in, Task &task_in,
 void
 PeriodicBehavior::start()
 {
+    frameEvent.emplace([this] { submitFrame(); }, workPrio,
+                       taskRef.name() + ".frame");
     nextRelease = sim.now() + periodicSpec.phase;
-    if (nextRelease <= sim.now()) {
+    if (nextRelease <= sim.now())
         submitFrame();
-    } else {
-        sim.at(nextRelease, [this] { submitFrame(); },
-               workPrio, taskRef.name() + ".frame");
-    }
+    else
+        sim.eventQueue().schedule(*frameEvent, nextRelease);
 }
 
 void
@@ -91,9 +91,9 @@ PeriodicBehavior::submitFrame()
         const Tick phase = sim.now() % periodicSpec.pauseCycle;
         if (phase < periodicSpec.pauseLength) {
             // Scene pause: resume at the end of the pause window.
-            sim.at(sim.now() + (periodicSpec.pauseLength - phase),
-                   [this] { submitFrame(); }, workPrio,
-                   taskRef.name() + ".frame");
+            sim.eventQueue().schedule(
+                *frameEvent,
+                sim.now() + (periodicSpec.pauseLength - phase));
             return;
         }
     }
@@ -101,8 +101,7 @@ PeriodicBehavior::submitFrame()
     if (periodicSpec.activeProbability < 1.0 &&
         !rng.chance(periodicSpec.activeProbability)) {
         // Nothing dirty this period; wake again at the next vsync.
-        sim.at(nextRelease, [this] { submitFrame(); },
-               workPrio, taskRef.name() + ".frame");
+        sim.eventQueue().schedule(*frameEvent, nextRelease);
         return;
     }
     const double cost = rng.logNormal(periodicSpec.instPerPeriod,
@@ -119,12 +118,10 @@ PeriodicBehavior::onWorkDrained(Task &)
         stats->recordFrame(sim.now());
     // Vsync pacing: the next frame starts one period after this one
     // was released, or immediately if we already missed that slot.
-    if (nextRelease <= sim.now()) {
+    if (nextRelease <= sim.now())
         submitFrame();
-    } else {
-        sim.at(nextRelease, [this] { submitFrame(); },
-               workPrio, taskRef.name() + ".frame");
-    }
+    else
+        sim.eventQueue().schedule(*frameEvent, nextRelease);
 }
 
 void

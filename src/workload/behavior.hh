@@ -19,6 +19,7 @@
 #define BIGLITTLE_WORKLOAD_BEHAVIOR_HH
 
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "base/random.hh"
@@ -154,6 +155,11 @@ class PeriodicBehavior : public Behavior
     FrameStats *stats;
     Tick nextRelease = 0;
     std::uint64_t frames = 0;
+    /** The one pending frame release ("<task>.frame" at workPrio),
+     *  reused for every frame; built in start(), after
+     *  setWorkPriority(). */
+    // ablint:allow(serialize-coverage): a pending event, re-created by re-execution like every other
+    std::optional<CallbackEvent> frameEvent;
 
     void submitFrame();
 };

@@ -8,6 +8,13 @@
 namespace biglittle
 {
 
+WorkerSplit::WorkerSplit(std::initializer_list<double> list)
+    : count(list.size())
+{
+    BL_ASSERT(list.size() <= capacity);
+    std::copy(list.begin(), list.end(), bursts.begin());
+}
+
 WorkflowDriver::WorkflowDriver(Simulation &sim_in, BurstBehavior &ui_in,
                                std::vector<BurstBehavior *> workers_in,
                                std::vector<ActionSpec> actions_in,

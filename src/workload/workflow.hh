@@ -13,8 +13,10 @@
 #ifndef BIGLITTLE_WORKLOAD_WORKFLOW_HH
 #define BIGLITTLE_WORKLOAD_WORKFLOW_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <vector>
 
 #include "base/random.hh"
@@ -27,6 +29,30 @@ namespace biglittle
 
 class Serializer;
 
+/**
+ * An action's per-worker burst sizes, stored inline so that copying
+ * an ActionSpec (every AppSpec copy does) never allocates.  Holds at
+ * most `capacity` workers (bbench uses 5); building a longer one
+ * panics.
+ */
+class WorkerSplit
+{
+  public:
+    static constexpr std::size_t capacity = 8;
+
+    WorkerSplit() = default;
+    WorkerSplit(std::initializer_list<double> list);
+
+    std::size_t size() const { return count; }
+    double operator[](std::size_t i) const { return bursts[i]; }
+    const double *begin() const { return bursts.data(); }
+    const double *end() const { return bursts.data() + count; }
+
+  private:
+    std::array<double, capacity> bursts{};
+    std::size_t count = 0;
+};
+
 /** One scripted user action. */
 struct ActionSpec
 {
@@ -37,7 +63,7 @@ struct ActionSpec
      * Parallel bursts on the worker threads, one entry per worker;
      * zero entries are skipped (that worker idles this action).
      */
-    std::vector<double> workerInstructions;
+    WorkerSplit workerInstructions;
 
     /** Idle gap between this action's completion and the next. */
     Tick thinkTime = msToTicks(300);

@@ -7,10 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <tuple>
 #include <vector>
 
+#include "base/random.hh"
 #include "base/serialize.hh"
+#include "base/strutil.hh"
 #include "sim/eventq.hh"
 
 using namespace biglittle;
@@ -571,4 +576,198 @@ TEST(EventQueue, ShuffleTieBreakIsSeedDeterministic)
     for (int i = 0; i < 16; ++i)
         want.push_back(i);
     EXPECT_EQ(sorted, want); // a permutation: nothing lost or duped
+}
+
+namespace
+{
+
+/**
+ * Drives one EventQueue and a reference model of it - an ordered map
+ * of (when, priority, sequence) to event - through one seeded random
+ * stream of schedule, deschedule, reschedule (same-tick included)
+ * and service operations.  Fired events run more operations from
+ * inside process().  Every service must fire the model's pick, and
+ * visitHead() and serialize() must follow the model's order.
+ */
+class QueueModelCheck
+{
+  public:
+    QueueModelCheck(TieBreak mode_in, std::uint64_t seed)
+        : mode(mode_in), rng(seed), modelTie(seed + 1)
+    {
+        q.setTieBreak(mode, seed + 1);
+        // Few priorities and near ticks, so batches of several
+        // events are common; 0 and 255 are the key's extremes.
+        const EventPriority prios[] = {
+            EventPriority::sliceEnd, EventPriority::workSubmit,
+            EventPriority::schedTick, static_cast<EventPriority>(255)};
+        for (std::size_t i = 0; i < poolSize; ++i) {
+            pool.push_back(std::make_unique<CallbackEvent>(
+                [this, i] { fired(i); }, prios[i % 4],
+                format("e%zu", i)));
+        }
+        keys.resize(poolSize);
+    }
+
+    void
+    run(int steps)
+    {
+        for (int step = 0; step < steps && !failed(); ++step) {
+            const std::uint64_t op = rng.uniformInt(0, 9);
+            if (op < 4)
+                mutate();
+            else if (op < 9)
+                service();
+            else
+                compare();
+        }
+        while (!model.empty() && !failed())
+            service();
+        compare();
+    }
+
+  private:
+    using Key = std::tuple<Tick, std::int32_t, std::uint64_t>;
+
+    static constexpr std::size_t poolSize = 24;
+
+    TieBreak mode;
+    Rng rng;
+    Rng modelTie; ///< the model's copy of the queue's tie stream
+    EventQueue q;
+    std::vector<std::unique_ptr<CallbackEvent>> pool;
+    std::map<Key, std::size_t> model;
+    std::vector<Key> keys; ///< each pending event's model key
+    std::uint64_t nextSequence = 0;
+    std::uint64_t serviced = 0;
+    std::size_t expectFire = 0;
+
+    static bool failed() { return ::testing::Test::HasFailure(); }
+
+    Tick
+    nearTick()
+    {
+        return q.now() + (rng.chance(0.8) ? rng.uniformInt(0, 2)
+                                          : rng.uniformInt(3, 40));
+    }
+
+    void
+    add(std::size_t i, Tick when)
+    {
+        keys[i] = Key{when, static_cast<std::int32_t>(pool[i]->priority()),
+                      nextSequence++};
+        model.emplace(keys[i], i);
+    }
+
+    void
+    mutate()
+    {
+        const std::size_t i = rng.uniformInt(0, poolSize - 1);
+        Event &e = *pool[i];
+        const std::uint64_t op = rng.uniformInt(0, 2);
+        if (op == 0 && !e.scheduled()) {
+            const Tick when = nearTick();
+            q.schedule(e, when);
+            add(i, when);
+        } else if (op == 1 && e.scheduled()) {
+            q.deschedule(e);
+            model.erase(keys[i]);
+        } else if (op == 2) {
+            const Tick when = nearTick();
+            if (e.scheduled())
+                model.erase(keys[i]);
+            q.reschedule(e, when);
+            add(i, when);
+        }
+    }
+
+    void
+    fired(std::size_t i)
+    {
+        EXPECT_EQ(i, expectFire);
+        if (rng.chance(0.5))
+            mutate();
+    }
+
+    void
+    service()
+    {
+        if (model.empty()) {
+            EXPECT_FALSE(q.serviceOne());
+            return;
+        }
+        const auto head = model.begin();
+        const auto sameBatch = [&head](const auto &entry) {
+            return std::get<0>(entry.first) == std::get<0>(head->first) &&
+                   std::get<1>(entry.first) == std::get<1>(head->first);
+        };
+        std::size_t n = 0;
+        auto last = head;
+        for (auto it = head; it != model.end() && sameBatch(*it); ++it) {
+            last = it;
+            ++n;
+        }
+        auto pick = head;
+        if (n > 1 && mode == TieBreak::lifo)
+            pick = last;
+        else if (n > 1 && mode == TieBreak::shuffle)
+            std::advance(pick, modelTie.uniformInt(0, n - 1));
+        expectFire = pick->second;
+        const Tick when = std::get<0>(pick->first);
+        model.erase(pick);
+        ++serviced;
+        EXPECT_TRUE(q.serviceOne());
+        EXPECT_EQ(q.now(), when);
+    }
+
+    void
+    compare()
+    {
+        ASSERT_EQ(q.size(), model.size());
+        EXPECT_EQ(q.nextTick(), model.empty()
+                                    ? maxTick
+                                    : std::get<0>(model.begin()->first));
+
+        const std::size_t n = rng.uniformInt(0, poolSize + 2);
+        std::vector<const Event *> seen;
+        q.visitHead(n, [&](const Event &e) { seen.push_back(&e); });
+        std::vector<const Event *> want;
+        for (auto it = model.begin(); it != model.end() && want.size() < n;
+             ++it)
+            want.push_back(pool[it->second].get());
+        EXPECT_EQ(seen, want);
+
+        Serializer pending;
+        for (const auto &[key, i] : model) {
+            pending.putU64(std::get<0>(key));
+            pending.putU64(static_cast<std::uint64_t>(std::get<1>(key)));
+            pending.putU64(std::get<2>(key));
+            pending.putU64(fnv1a64(pool[i]->name()));
+        }
+        Serializer expect;
+        expect.putU64(q.now());
+        expect.putU64(nextSequence);
+        expect.putU64(serviced);
+        expect.putU64(model.size());
+        expect.putU64(pending.digest());
+        Serializer got;
+        q.serialize(got);
+        EXPECT_EQ(got.bytes(), expect.bytes());
+    }
+};
+
+} // namespace
+
+TEST(EventQueue, MatchesReferenceModelUnderEveryTieBreak)
+{
+    for (const TieBreak mode :
+         {TieBreak::fifo, TieBreak::lifo, TieBreak::shuffle}) {
+        for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+            SCOPED_TRACE(format("tie-break %d, seed %llu",
+                                static_cast<int>(mode),
+                                static_cast<unsigned long long>(seed)));
+            QueueModelCheck(mode, seed).run(3000);
+            ASSERT_FALSE(::testing::Test::HasFailure());
+        }
+    }
 }

@@ -165,3 +165,9 @@ TEST_F(WorkflowTest, LatencyBeforeDoneAsserts)
     driver.start();
     EXPECT_DEATH((void)driver.latency(), "assertion");
 }
+
+TEST(WorkerSplitDeathTest, MoreBurstsThanCapacityPanics)
+{
+    static_assert(WorkerSplit::capacity < 9);
+    EXPECT_DEATH(WorkerSplit({1, 2, 3, 4, 5, 6, 7, 8, 9}), "assertion");
+}

@@ -269,7 +269,7 @@ main(int argc, char **argv)
     } else if (apps == "fps") {
         opt.apps = fpsApps();
     } else {
-        const std::vector<AppSpec> known = allApps();
+        const std::vector<AppSpec> &known = allApps();
         std::size_t start = 0;
         while (start <= apps.size()) {
             const auto comma = apps.find(',', start);
